@@ -1,7 +1,6 @@
 #include "features/dataset_io.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -13,12 +12,6 @@ namespace {
 
 constexpr const char* kPredictorKind = "predictor";
 constexpr const char* kLocatorKind = "locator";
-
-bool is_binary_path(const std::string& path) {
-  constexpr std::string_view kExt = ".nmarena";
-  return path.size() >= kExt.size() &&
-         path.compare(path.size() - kExt.size(), kExt.size(), kExt) == 0;
-}
 
 std::string make_meta(const char* kind, const EncoderConfig& config) {
   std::ostringstream os;
@@ -57,6 +50,87 @@ const std::vector<std::uint32_t>* find_aux(const ml::StoredArena& stored,
   return nullptr;
 }
 
+/// A week feed drives an encoder's on_week in week order from week 0
+/// through at least `last`, from a materialized run's tables or from
+/// the simulator's streamed chunks.
+auto materialized_feed(const dslsim::SimDataset& data) {
+  return [&data](auto& encoder, int last) {
+    for (int w = 0; w <= last; ++w) {
+      encoder.on_week(w, data.week_measurements(w));
+    }
+  };
+}
+
+/// The encoder reads each week through the rolling buffer — the
+/// residency bound the 1M-line pipeline is built around — and the tap
+/// sees the raw chunk afterwards.
+auto streamed_feed(const dslsim::Simulator& sim,
+                   const dslsim::SimDataset& tables,
+                   const exec::ExecContext& exec,
+                   const StreamPipelineOptions& options) {
+  return [&](auto& encoder, int last) {
+    WeekWindowBuffer buffer(tables.n_lines(), options.window_weeks);
+    sim.stream_weeks(tables, exec,
+                     [&](const dslsim::WeekChunk& chunk) {
+                       buffer.push(chunk);
+                       encoder.on_week(chunk.week, buffer.week(chunk.week));
+                       if (options.tap) options.tap(chunk);
+                     },
+                     std::max(last, options.stream_through));
+  };
+}
+
+/// The one predictor writer: WeekEncoder rows stream into the nmarena
+/// writer with the row->line/week mapping as aux arrays.
+template <typename Feed>
+ml::StoreStatus write_predictor(const std::string& path,
+                                const dslsim::SimDataset& tables,
+                                int emit_from, int emit_to,
+                                const EncoderConfig& config,
+                                const TicketLabeler& labeler, Feed&& feed) {
+  const std::size_t n_rows = count_week_rows(tables, emit_from, emit_to);
+  ml::ArenaStreamWriter writer(path, all_columns(config), n_rows);
+  std::vector<std::uint32_t> line_of_row;
+  std::vector<std::uint32_t> week_of_row;
+  line_of_row.reserve(n_rows);
+  week_of_row.reserve(n_rows);
+  WeekEncoder encoder(tables, emit_from, emit_to, config, labeler,
+                      [&](std::span<const float> row, bool label,
+                          dslsim::LineId u, int w) {
+                        writer.append(row, label);
+                        line_of_row.push_back(static_cast<std::uint32_t>(u));
+                        week_of_row.push_back(static_cast<std::uint32_t>(w));
+                      });
+  feed(encoder, encoder.emit_to());
+  writer.add_aux("line", line_of_row);
+  writer.add_aux("week", week_of_row);
+  writer.set_meta(make_meta(kPredictorKind, config));
+  return writer.finish();
+}
+
+/// The one bin-less locator writer: DispatchEncoder rows stream into the
+/// nmarena writer with the row->note mapping as an aux array.
+template <typename Feed>
+ml::StoreStatus write_locator(const std::string& path,
+                              const dslsim::SimDataset& tables, int week_from,
+                              int week_to, const EncoderConfig& config,
+                              Feed&& feed) {
+  const std::size_t n_rows = count_dispatch_rows(tables, week_from, week_to);
+  ml::ArenaStreamWriter writer(path, all_columns(config), n_rows);
+  std::vector<std::uint32_t> note_of_row;
+  note_of_row.reserve(n_rows);
+  DispatchEncoder encoder(tables, week_from, week_to, config,
+                          [&](std::span<const float> row,
+                              std::uint32_t note_idx) {
+                            writer.append(row, false);
+                            note_of_row.push_back(note_idx);
+                          });
+  feed(encoder, encoder.week_to());
+  writer.add_aux("note", note_of_row);
+  writer.set_meta(make_meta(kLocatorKind, config));
+  return writer.finish();
+}
+
 }  // namespace
 
 std::optional<std::string> dataset_kind(const std::string& meta) {
@@ -72,31 +146,17 @@ ml::StoreStatus save_predictor_dataset(const std::string& path,
                                        int emit_from, int emit_to,
                                        const EncoderConfig& config,
                                        const TicketLabeler& labeler) {
-  if (is_binary_path(path)) {
-    ml::ArenaStreamWriter writer(path, all_columns(config),
-                                 count_week_rows(data, emit_from, emit_to));
-    encode_weeks_to_store(data, emit_from, emit_to, config, labeler, writer);
-    writer.set_meta(make_meta(kPredictorKind, config));
-    return writer.finish();
-  }
-  const EncodedBlock block =
-      encode_weeks(data, emit_from, emit_to, config, labeler);
-  const std::vector<std::string> aux_names = {"line", "week"};
-  std::vector<std::vector<std::uint32_t>> aux(2);
-  aux[0].assign(block.line_of_row.begin(), block.line_of_row.end());
-  aux[1].reserve(block.week_of_row.size());
-  for (const int w : block.week_of_row) {
-    aux[1].push_back(static_cast<std::uint32_t>(w));
-  }
-  std::ofstream os(path);
-  if (!os) {
-    return {ml::StoreError::kIoError, "cannot open " + path + " for writing"};
-  }
-  ml::save_arena_text(os, block.dataset, aux_names, aux,
-                      make_meta(kPredictorKind, config));
-  os.flush();
-  if (!os) return {ml::StoreError::kIoError, "write failed for " + path};
-  return {};
+  return write_predictor(path, data, emit_from, emit_to, config, labeler,
+                         materialized_feed(data));
+}
+
+ml::StoreStatus stream_save_predictor_dataset(
+    const std::string& path, const dslsim::Simulator& sim,
+    const dslsim::SimDataset& tables, const exec::ExecContext& exec,
+    int emit_from, int emit_to, const EncoderConfig& config,
+    const TicketLabeler& labeler, const StreamPipelineOptions& options) {
+  return write_predictor(path, tables, emit_from, emit_to, config, labeler,
+                         streamed_feed(sim, tables, exec, options));
 }
 
 ml::StoreStatus save_locator_dataset(const std::string& path,
@@ -105,44 +165,35 @@ ml::StoreStatus save_locator_dataset(const std::string& path,
                                      const EncoderConfig& config,
                                      bool with_bins,
                                      const ml::BinningConfig& binning) {
-  if (is_binary_path(path)) {
-    if (with_bins) {
-      // Quantization needs the whole matrix, which the streaming writer
-      // never materializes — encode in memory and bulk-save (locator
-      // matrices are dispatch-sized, not line-week-sized).
-      const LocatorBlock block =
-          encode_at_dispatch(data, week_from, week_to, config);
-      const ml::BinnedColumns bins(block.dataset, binning);
-      const std::vector<std::string> aux_names = {"note"};
-      const std::vector<std::vector<std::uint32_t>> aux = {block.note_of_row};
-      return ml::save_arena(path, block.dataset, aux_names, aux,
-                            make_meta(kLocatorKind, config), &bins);
-    }
-    ml::ArenaStreamWriter writer(path, all_columns(config),
-                                 count_dispatch_rows(data, week_from, week_to));
-    encode_dispatch_to_store(data, week_from, week_to, config, writer);
-    writer.set_meta(make_meta(kLocatorKind, config));
-    return writer.finish();
+  if (!with_bins) {
+    return write_locator(path, data, week_from, week_to, config,
+                         materialized_feed(data));
   }
-  const LocatorBlock block = encode_at_dispatch(data, week_from, week_to,
-                                                config);
+  // Quantization needs the whole matrix, which the streaming writer
+  // never materializes — encode in memory and bulk-save (locator
+  // matrices are dispatch-sized, not line-week-sized).
+  const LocatorBlock block =
+      encode_at_dispatch(data, week_from, week_to, config);
+  const ml::BinnedColumns bins(block.dataset, binning);
   const std::vector<std::string> aux_names = {"note"};
-  std::vector<std::vector<std::uint32_t>> aux = {block.note_of_row};
-  std::ofstream os(path);
-  if (!os) {
-    return {ml::StoreError::kIoError, "cannot open " + path + " for writing"};
-  }
-  ml::save_arena_text(os, block.dataset, aux_names, aux,
-                      make_meta(kLocatorKind, config));
-  os.flush();
-  if (!os) return {ml::StoreError::kIoError, "write failed for " + path};
-  return {};
+  const std::vector<std::vector<std::uint32_t>> aux = {block.note_of_row};
+  return ml::save_arena(path, block.dataset, aux_names, aux,
+                        make_meta(kLocatorKind, config), &bins);
+}
+
+ml::StoreStatus stream_save_locator_dataset(
+    const std::string& path, const dslsim::Simulator& sim,
+    const dslsim::SimDataset& tables, const exec::ExecContext& exec,
+    int week_from, int week_to, const EncoderConfig& config,
+    const StreamPipelineOptions& options) {
+  return write_locator(path, tables, week_from, week_to, config,
+                       streamed_feed(sim, tables, exec, options));
 }
 
 std::optional<PredictorDataset> load_predictor_dataset(const std::string& path,
                                                        ml::ArenaLoadMode mode,
                                                        ml::StoreStatus* status) {
-  auto stored = ml::load_arena_auto(path, {.mode = mode}, status);
+  auto stored = ml::load_arena(path, {.mode = mode}, status);
   if (!stored.has_value()) return std::nullopt;
   auto config = parse_meta(stored->meta, kPredictorKind);
   if (!config.has_value()) {
@@ -175,83 +226,10 @@ std::optional<PredictorDataset> load_predictor_dataset(const std::string& path,
   return out;
 }
 
-ml::StoreStatus stream_save_predictor_dataset(
-    const std::string& path, const dslsim::Simulator& sim,
-    const dslsim::SimDataset& tables, const exec::ExecContext& exec,
-    int emit_from, int emit_to, const EncoderConfig& config,
-    const TicketLabeler& labeler, const StreamPipelineOptions& options) {
-  if (!is_binary_path(path)) {
-    return {ml::StoreError::kIoError,
-            "streamed dataset save requires a .nmarena path: " + path};
-  }
-  const std::size_t n_rows = count_week_rows(tables, emit_from, emit_to);
-  ml::ArenaStreamWriter writer(path, all_columns(config), n_rows);
-  std::vector<std::uint32_t> line_of_row;
-  std::vector<std::uint32_t> week_of_row;
-  line_of_row.reserve(n_rows);
-  week_of_row.reserve(n_rows);
-  WeekEncoder encoder(tables, emit_from, emit_to, config, labeler,
-                      [&](std::span<const float> row, bool label,
-                          dslsim::LineId u, int w) {
-                        writer.append(row, label);
-                        line_of_row.push_back(static_cast<std::uint32_t>(u));
-                        week_of_row.push_back(static_cast<std::uint32_t>(w));
-                      });
-  // The encoder reads each week through the rolling buffer — the
-  // residency bound the 1M-line pipeline is built around — and the tap
-  // sees the raw chunk afterwards.
-  WeekWindowBuffer buffer(tables.n_lines(), options.window_weeks);
-  const int through = std::max(encoder.emit_to(), options.stream_through);
-  sim.stream_weeks(tables, exec,
-                   [&](const dslsim::WeekChunk& chunk) {
-                     buffer.push(chunk);
-                     encoder.on_week(chunk.week, buffer.week(chunk.week));
-                     if (options.tap) options.tap(chunk);
-                   },
-                   through);
-  writer.add_aux("line", line_of_row);
-  writer.add_aux("week", week_of_row);
-  writer.set_meta(make_meta(kPredictorKind, config));
-  return writer.finish();
-}
-
-ml::StoreStatus stream_save_locator_dataset(
-    const std::string& path, const dslsim::Simulator& sim,
-    const dslsim::SimDataset& tables, const exec::ExecContext& exec,
-    int week_from, int week_to, const EncoderConfig& config,
-    const StreamPipelineOptions& options) {
-  if (!is_binary_path(path)) {
-    return {ml::StoreError::kIoError,
-            "streamed dataset save requires a .nmarena path: " + path};
-  }
-  const std::size_t n_rows = count_dispatch_rows(tables, week_from, week_to);
-  ml::ArenaStreamWriter writer(path, all_columns(config), n_rows);
-  std::vector<std::uint32_t> note_of_row;
-  note_of_row.reserve(n_rows);
-  DispatchEncoder encoder(tables, week_from, week_to, config,
-                          [&](std::span<const float> row,
-                              std::uint32_t note_idx) {
-                            writer.append(row, false);
-                            note_of_row.push_back(note_idx);
-                          });
-  WeekWindowBuffer buffer(tables.n_lines(), options.window_weeks);
-  const int through = std::max(encoder.week_to(), options.stream_through);
-  sim.stream_weeks(tables, exec,
-                   [&](const dslsim::WeekChunk& chunk) {
-                     buffer.push(chunk);
-                     encoder.on_week(chunk.week, buffer.week(chunk.week));
-                     if (options.tap) options.tap(chunk);
-                   },
-                   through);
-  writer.add_aux("note", note_of_row);
-  writer.set_meta(make_meta(kLocatorKind, config));
-  return writer.finish();
-}
-
 std::optional<LocatorDataset> load_locator_dataset(const std::string& path,
                                                    ml::ArenaLoadMode mode,
                                                    ml::StoreStatus* status) {
-  auto stored = ml::load_arena_auto(path, {.mode = mode}, status);
+  auto stored = ml::load_arena(path, {.mode = mode}, status);
   if (!stored.has_value()) return std::nullopt;
   auto config = parse_meta(stored->meta, kLocatorKind);
   if (!config.has_value()) {

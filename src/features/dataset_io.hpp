@@ -3,13 +3,12 @@
 // configuration) and load it back for training without re-running the
 // encoder.
 //
-// Format dispatch by path: "*.nmarena" saves the binary nmarena v1
-// artefact through the streaming writer (the full matrix is never
-// resident — encode_*_to_store appends chunk-wise); any other path
-// saves the portable "nmdataset v1" text form. Loading sniffs the file
-// magic, so either format loads through the same entry points; binary
-// files honour the requested load mode (eager heap copy vs mmap'ed
-// read-only arena), text always loads eagerly.
+// Every dataset artefact is a binary nmarena file, whatever its name.
+// Each matrix kind has one writer, which streams encoder rows into
+// ml::ArenaStreamWriter (the full matrix is never resident), driven by
+// the weeks of either a materialized run or Simulator::stream_weeks;
+// the one exception is the binned locator save below. Loaders honour
+// the requested load mode (eager heap copy vs mmap'ed read-only arena).
 //
 // The artefact's meta blob records the dataset kind ("predictor" or
 // "locator") and the encoder configuration, so a loader can refuse a
@@ -40,14 +39,13 @@ struct LocatorDataset {
 };
 
 /// Encode weeks [emit_from, emit_to] and persist the matrix to `path`
-/// (binary nmarena when the path ends in ".nmarena", text otherwise).
+/// as an nmarena artefact.
 [[nodiscard]] ml::StoreStatus save_predictor_dataset(
     const std::string& path, const dslsim::SimDataset& data, int emit_from,
     int emit_to, const EncoderConfig& config, const TicketLabeler& labeler);
 
 /// Encode dispatch rows for weeks [week_from, week_to] and persist.
-/// `with_bins` (binary artefacts only — the text form never carries
-/// bins) additionally quantizes the matrix and writes an nmarena v2
+/// `with_bins` additionally quantizes the matrix and writes an nmarena v2
 /// artefact whose bin-code section lets train_from_block skip
 /// re-binning; this path encodes the matrix in memory instead of
 /// streaming, which is fine at locator scale (dispatch rows only).
@@ -56,10 +54,9 @@ struct LocatorDataset {
     int week_to, const EncoderConfig& config, bool with_bins = false,
     const ml::BinningConfig& binning = {});
 
-/// Load a persisted predictor matrix. `mode` selects eager vs mmap for
-/// binary artefacts (ignored for text). Returns nullopt with `status`
-/// filled on IO/corruption errors or when the artefact is not a
-/// predictor dataset.
+/// Load a persisted predictor matrix. `mode` selects eager vs mmap.
+/// Returns nullopt with `status` filled on IO/corruption errors or when
+/// the artefact is not a predictor dataset.
 [[nodiscard]] std::optional<PredictorDataset> load_predictor_dataset(
     const std::string& path, ml::ArenaLoadMode mode = ml::ArenaLoadMode::kEager,
     ml::StoreStatus* status = nullptr);
@@ -90,8 +87,8 @@ struct StreamPipelineOptions {
   dslsim::WeekSink tap;
 };
 
-/// Stream-encode weeks [emit_from, emit_to] into a binary predictor
-/// dataset at `path` (must end in ".nmarena") WITHOUT materialized
+/// Stream-encode weeks [emit_from, emit_to] into a predictor dataset at
+/// `path` WITHOUT materialized
 /// measurement tables: `tables` is a (possibly tables-only) dataset
 /// from Simulator::build_tables or run, and the weekly measurements are
 /// generated on the fly by sim.stream_weeks and consumed through a

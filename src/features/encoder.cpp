@@ -237,26 +237,6 @@ void WeekEncoder::on_week(int week,
   ++next_week_;
 }
 
-namespace {
-
-/// Shared week walker behind encode_weeks and encode_weeks_to_store:
-/// drives the streaming WeekEncoder over a materialized dataset's
-/// weeks. One walker means the arena, store and streamed paths cannot
-/// drift.
-template <typename Emit>
-void walk_week_rows(const dslsim::SimDataset& data, int emit_from, int emit_to,
-                    const EncoderConfig& config, const TicketLabeler& labeler,
-                    Emit&& emit) {
-  WeekEncoder encoder(data, emit_from, emit_to, config, labeler,
-                      [&emit](std::span<const float> row, bool label,
-                              dslsim::LineId u, int w) { emit(row, label, u, w); });
-  for (int w = 0; w <= encoder.emit_to(); ++w) {
-    encoder.on_week(w, data.week_measurements(w));
-  }
-}
-
-}  // namespace
-
 std::size_t count_week_rows(const dslsim::SimDataset& data, int emit_from,
                             int emit_to) {
   emit_from = std::max(emit_from, 0);
@@ -272,41 +252,24 @@ EncodedBlock encode_weeks(const dslsim::SimDataset& data, int emit_from,
   EncodedBlock block{ml::FeatureArena(all_columns(config), n_rows), {}, {}};
   block.line_of_row.reserve(n_rows);
   block.week_of_row.reserve(n_rows);
-  walk_week_rows(data, emit_from, emit_to, config, labeler,
-                 [&](std::span<const float> row, bool label, dslsim::LineId u,
-                     int w) {
-                   block.dataset.add_row(row, label);
-                   block.line_of_row.push_back(u);
-                   block.week_of_row.push_back(w);
-                 });
+  WeekEncoder encoder(data, emit_from, emit_to, config, labeler,
+                      [&](std::span<const float> row, bool label,
+                          dslsim::LineId u, int w) {
+                        block.dataset.add_row(row, label);
+                        block.line_of_row.push_back(u);
+                        block.week_of_row.push_back(w);
+                      });
+  for (int w = 0; w <= encoder.emit_to(); ++w) {
+    encoder.on_week(w, data.week_measurements(w));
+  }
   return block;
-}
-
-void encode_weeks_to_store(const dslsim::SimDataset& data, int emit_from,
-                           int emit_to, const EncoderConfig& config,
-                           const TicketLabeler& labeler,
-                           ml::ArenaStreamWriter& writer) {
-  const std::size_t n_rows = count_week_rows(data, emit_from, emit_to);
-  std::vector<std::uint32_t> line_of_row;
-  std::vector<std::uint32_t> week_of_row;
-  line_of_row.reserve(n_rows);
-  week_of_row.reserve(n_rows);
-  walk_week_rows(data, emit_from, emit_to, config, labeler,
-                 [&](std::span<const float> row, bool label, dslsim::LineId u,
-                     int w) {
-                   writer.append(row, label);
-                   line_of_row.push_back(static_cast<std::uint32_t>(u));
-                   week_of_row.push_back(static_cast<std::uint32_t>(w));
-                 });
-  writer.add_aux("line", line_of_row);
-  writer.add_aux("week", week_of_row);
 }
 
 namespace {
 
 /// Notes grouped by the test week of the most recent measurement at or
 /// before the dispatch day, restricted to [week_from, week_to] after
-/// clamping. Shared by the count, arena and streaming dispatch paths.
+/// clamping. Shared by the row count and the dispatch encoder.
 std::vector<std::vector<std::uint32_t>> group_notes_by_week(
     const dslsim::SimDataset& data, int week_from, int week_to) {
   week_from = std::max(week_from, 0);
@@ -371,27 +334,6 @@ void DispatchEncoder::on_week(
   ++next_week_;
 }
 
-namespace {
-
-/// Shared dispatch walker behind encode_at_dispatch and
-/// encode_dispatch_to_store: drives the streaming DispatchEncoder over
-/// a materialized dataset's weeks.
-template <typename Emit>
-void walk_dispatch_rows(const dslsim::SimDataset& data, int week_from,
-                        int week_to, const EncoderConfig& config,
-                        Emit&& emit) {
-  DispatchEncoder encoder(
-      data, week_from, week_to, config,
-      [&emit](std::span<const float> row, std::uint32_t note_idx) {
-        emit(row, note_idx);
-      });
-  for (int w = 0; w <= encoder.week_to(); ++w) {
-    encoder.on_week(w, data.week_measurements(w));
-  }
-}
-
-}  // namespace
-
 std::size_t count_dispatch_rows(const dslsim::SimDataset& data, int week_from,
                                 int week_to) {
   std::size_t n = 0;
@@ -406,25 +348,16 @@ LocatorBlock encode_at_dispatch(const dslsim::SimDataset& data, int week_from,
   const std::size_t n_rows = count_dispatch_rows(data, week_from, week_to);
   LocatorBlock block{ml::FeatureArena(all_columns(config), n_rows), {}};
   block.note_of_row.reserve(n_rows);
-  walk_dispatch_rows(data, week_from, week_to, config,
-                     [&](std::span<const float> row, std::uint32_t note_idx) {
-                       block.dataset.add_row(row, false);
-                       block.note_of_row.push_back(note_idx);
-                     });
+  DispatchEncoder encoder(data, week_from, week_to, config,
+                          [&](std::span<const float> row,
+                              std::uint32_t note_idx) {
+                            block.dataset.add_row(row, false);
+                            block.note_of_row.push_back(note_idx);
+                          });
+  for (int w = 0; w <= encoder.week_to(); ++w) {
+    encoder.on_week(w, data.week_measurements(w));
+  }
   return block;
-}
-
-void encode_dispatch_to_store(const dslsim::SimDataset& data, int week_from,
-                              int week_to, const EncoderConfig& config,
-                              ml::ArenaStreamWriter& writer) {
-  std::vector<std::uint32_t> note_of_row;
-  note_of_row.reserve(count_dispatch_rows(data, week_from, week_to));
-  walk_dispatch_rows(data, week_from, week_to, config,
-                     [&](std::span<const float> row, std::uint32_t note_idx) {
-                       writer.append(row, false);
-                       note_of_row.push_back(note_idx);
-                     });
-  writer.add_aux("note", note_of_row);
 }
 
 }  // namespace nevermind::features

@@ -126,27 +126,15 @@ struct TicketLabeler {
 [[nodiscard]] std::size_t count_week_rows(const dslsim::SimDataset& data,
                                           int emit_from, int emit_to);
 
-/// Streaming encode: walks the same per-line windows as encode_weeks
-/// but appends each row straight into `writer` (declared with
-/// all_columns(config) and count_week_rows(...) rows) instead of
-/// materializing a FeatureArena — peak memory is one row plus the
-/// writer's bounded chunk. The row->line/week mapping is recorded as
-/// aux arrays "line" and "week". The caller still owns set_meta() and
-/// finish().
-void encode_weeks_to_store(const dslsim::SimDataset& data, int emit_from,
-                           int emit_to, const EncoderConfig& config,
-                           const TicketLabeler& labeler,
-                           ml::ArenaStreamWriter& writer);
-
 /// Streaming form of the week walker: feed each week's measurements in
 /// ascending order (starting at week 0) and rows for weeks in
 /// [emit_from, emit_to] are emitted through the sink as the week
 /// arrives. `data` may be a tables-only dataset from
 /// Simulator::build_tables — only tickets, plants and the topology are
 /// read from it; measurements come exclusively through on_week. This is
-/// the ONE walker: encode_weeks / encode_weeks_to_store drive it over a
-/// materialized dataset, the streaming pipeline drives it from
-/// Simulator::stream_weeks chunks, so the two paths cannot drift.
+/// the ONE walker: encode_weeks and the predictor dataset writer drive
+/// it over a materialized dataset, the streaming pipeline drives it from
+/// Simulator::stream_weeks chunks, so the paths cannot drift.
 /// Resident state is one LineWindow per line plus one row buffer —
 /// independent of the number of weeks streamed.
 class WeekEncoder {
@@ -205,20 +193,14 @@ struct LocatorBlock {
 [[nodiscard]] std::size_t count_dispatch_rows(const dslsim::SimDataset& data,
                                               int week_from, int week_to);
 
-/// Streaming counterpart of encode_at_dispatch: appends each dispatch
-/// row into `writer` and records the row->note mapping as aux array
-/// "note". The caller still owns set_meta() and finish().
-void encode_dispatch_to_store(const dslsim::SimDataset& data, int week_from,
-                              int week_to, const EncoderConfig& config,
-                              ml::ArenaStreamWriter& writer);
-
 /// Streaming form of the dispatch walker (trouble-locator rows): feed
 /// weeks in ascending order from week 0; each week's dispatch rows are
 /// emitted BEFORE that week's measurements fold into the per-line
 /// windows (the dispatch sees the same Saturday record the predictor
 /// saw). Notes are grouped from the tables up front, so `data` may be
 /// tables-only. Like WeekEncoder, this is the one walker behind
-/// encode_at_dispatch / encode_dispatch_to_store and the streamed path.
+/// encode_at_dispatch and the locator dataset writer, materialized or
+/// streamed.
 class DispatchEncoder {
  public:
   using RowSink =

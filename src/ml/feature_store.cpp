@@ -5,17 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <istream>
 #include <limits>
 #include <memory>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 // The payload is raw little-endian binary32/u32/u64; reading it back on
@@ -790,192 +786,6 @@ StoreStatus save_arena(const std::string& path, const FeatureArena& arena,
   writer.set_meta(meta);
   if (bins != nullptr) writer.set_bins(*bins);
   return writer.finish();
-}
-
-// ---------------------------------------------------------------------------
-// Text fallback
-// ---------------------------------------------------------------------------
-
-void save_arena_text(std::ostream& os, const FeatureArena& arena,
-                     std::span<const std::string> aux_names,
-                     std::span<const std::vector<std::uint32_t>> aux,
-                     const std::string& meta) {
-  os << "nmdataset v1\n";
-  os << "meta " << meta.size() << '\n';
-  os.write(meta.data(), static_cast<std::streamsize>(meta.size()));
-  os << '\n';
-  os << "columns " << arena.n_cols() << '\n';
-  for (std::size_t j = 0; j < arena.n_cols(); ++j) {
-    const ColumnInfo& col = arena.column_info(j);
-    os << col.name << ' ' << (col.categorical ? 1 : 0) << '\n';
-  }
-  const std::size_t n_aux = std::min(aux_names.size(), aux.size());
-  os << "aux " << n_aux;
-  for (std::size_t a = 0; a < n_aux; ++a) os << ' ' << aux_names[a];
-  os << '\n';
-  os << "rows " << arena.n_rows() << " positives " << arena.positives()
-     << '\n';
-  os.precision(std::numeric_limits<float>::max_digits10);
-  for (std::size_t r = 0; r < arena.n_rows(); ++r) {
-    os << (arena.label(r) ? 1 : 0);
-    for (std::size_t a = 0; a < n_aux; ++a) os << ' ' << aux[a][r];
-    for (std::size_t j = 0; j < arena.n_cols(); ++j) {
-      const float v = arena.value(r, j);
-      if (is_missing(v)) {
-        os << " NA";
-      } else {
-        os << ' ' << v;
-      }
-    }
-    os << '\n';
-  }
-}
-
-std::optional<StoredArena> load_arena_text(std::istream& is,
-                                           StoreStatus* status) {
-  if (status != nullptr) *status = {};
-  const auto give_up = [&](StoreError code, std::string message)
-      -> std::optional<StoredArena> {
-    fail(status, code, std::move(message));
-    return std::nullopt;
-  };
-  std::string magic;
-  std::string version;
-  if (!(is >> magic >> version) || magic != "nmdataset") {
-    return give_up(StoreError::kBadMagic,
-                   "not an nmdataset text artefact (bad magic)");
-  }
-  if (version != "v1") {
-    return give_up(StoreError::kBadVersion, "unsupported nmdataset version '" +
-                                                version +
-                                                "' (this build reads v1)");
-  }
-  std::string tag;
-  std::size_t meta_len = 0;
-  if (!(is >> tag >> meta_len) || tag != "meta" ||
-      meta_len > (std::size_t{1} << 32)) {
-    return give_up(StoreError::kMalformedMeta, "malformed meta header");
-  }
-  is.get();  // the newline after the byte count
-  StoredArena out;
-  out.meta.resize(meta_len);
-  if (meta_len > 0 &&
-      !is.read(out.meta.data(), static_cast<std::streamsize>(meta_len))) {
-    return give_up(StoreError::kShortFile, "truncated meta blob");
-  }
-
-  std::size_t n_cols = 0;
-  if (!(is >> tag >> n_cols) || tag != "columns" ||
-      n_cols > (std::size_t{1} << 24)) {
-    return give_up(StoreError::kMalformedMeta, "malformed column header");
-  }
-  std::vector<ColumnInfo> columns(n_cols);
-  for (std::size_t j = 0; j < n_cols; ++j) {
-    int categorical = 0;
-    if (!(is >> columns[j].name >> categorical)) {
-      return give_up(StoreError::kShortFile, "truncated column list");
-    }
-    columns[j].categorical = categorical != 0;
-  }
-
-  std::size_t n_aux = 0;
-  if (!(is >> tag >> n_aux) || tag != "aux" || n_aux > (std::size_t{1} << 16)) {
-    return give_up(StoreError::kMalformedMeta, "malformed aux header");
-  }
-  out.aux_names.resize(n_aux);
-  for (std::size_t a = 0; a < n_aux; ++a) {
-    if (!(is >> out.aux_names[a])) {
-      return give_up(StoreError::kShortFile, "truncated aux name list");
-    }
-  }
-
-  std::size_t n_rows = 0;
-  std::size_t positives = 0;
-  std::string positives_tag;
-  if (!(is >> tag >> n_rows >> positives_tag >> positives) || tag != "rows" ||
-      positives_tag != "positives" || n_rows > (std::size_t{1} << 40) ||
-      positives > n_rows) {
-    return give_up(StoreError::kMalformedMeta, "malformed row header");
-  }
-
-  std::vector<float> payload(n_cols * n_rows);
-  std::vector<std::uint8_t> labels(n_rows);
-  out.aux.assign(n_aux, std::vector<std::uint32_t>(n_rows));
-  std::string token;
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    int label = 0;
-    if (!(is >> label) || (label != 0 && label != 1)) {
-      return give_up(StoreError::kShortFile,
-                     "truncated or malformed row " + std::to_string(r));
-    }
-    labels[r] = static_cast<std::uint8_t>(label);
-    for (std::size_t a = 0; a < n_aux; ++a) {
-      if (!(is >> out.aux[a][r])) {
-        return give_up(StoreError::kShortFile,
-                       "truncated aux values in row " + std::to_string(r));
-      }
-    }
-    for (std::size_t j = 0; j < n_cols; ++j) {
-      if (!(is >> token)) {
-        return give_up(StoreError::kShortFile,
-                       "truncated features in row " + std::to_string(r));
-      }
-      if (token == "NA") {
-        payload[j * n_rows + r] = kMissing;
-      } else {
-        // strtof rather than std::stof: glibc flags subnormal results
-        // with ERANGE even though the returned denormal is the correctly
-        // rounded value, and stof turns that into a throw.
-        char* end = nullptr;
-        const float v = std::strtof(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) {
-          // A half-parsed final token means the file was cut mid-number,
-          // not that the content is foreign.
-          if (is.eof()) {
-            return give_up(StoreError::kShortFile,
-                           "truncated features in row " + std::to_string(r));
-          }
-          return give_up(StoreError::kMalformedMeta,
-                         "non-numeric feature value '" + token + "' in row " +
-                             std::to_string(r));
-        }
-        payload[j * n_rows + r] = v;
-      }
-    }
-  }
-  out.arena = FeatureArena(std::move(columns), n_rows, std::move(payload),
-                           std::move(labels));
-  if (out.arena.positives() != positives) {
-    return give_up(StoreError::kMalformedMeta,
-                   "positive-label count disagrees with the row header");
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Format sniffing
-// ---------------------------------------------------------------------------
-
-bool is_arena_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  char magic[sizeof(kMagic)] = {};
-  if (!is.read(magic, sizeof(magic))) return false;
-  return std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-}
-
-std::optional<StoredArena> load_arena_auto(const std::string& path,
-                                           const ArenaLoadOptions& options,
-                                           StoreStatus* status) {
-  if (is_arena_file(path)) return load_arena(path, options, status);
-  std::ifstream is(path);
-  if (!is) {
-    if (status != nullptr) {
-      *status = {StoreError::kIoError,
-                 "cannot open " + path + ": " + std::strerror(errno)};
-    }
-    return std::nullopt;
-  }
-  return load_arena_text(is, status);
 }
 
 }  // namespace nevermind::ml

@@ -1,6 +1,5 @@
 // Persistent columnar feature store: the "nmarena" binary artefact
-// (extending the nmkernel/nmlocator artefact taxonomy) plus a portable
-// text fallback ("nmdataset v1").
+// (extending the nmkernel/nmlocator artefact taxonomy).
 //
 // The binary layout is built for mmap loading:
 //
@@ -27,8 +26,7 @@
 //               reject v2 files with kBadVersion. Both versions are
 //               strict about their end: a file longer than its declared
 //               sections is kMalformedHeader, so v1 files cannot smuggle
-//               an unverified bins section past an old reader. The text
-//               fallback never carries bins (it re-bins on use).
+//               an unverified bins section past an old reader.
 //
 // All integers and floats are little-endian; the build refuses exotic
 // hosts at compile time and the reader refuses foreign files at run
@@ -50,7 +48,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <span>
@@ -97,7 +94,7 @@ struct StoredArena {
   std::string meta;
   /// v2 artefacts only: the stored histogram-path quantization (always
   /// materialized into aligned heap vectors, even under mmap loads).
-  /// Null for v1 files and the text fallback.
+  /// Null for v1 files.
   std::shared_ptr<const BinnedColumns> bins;
 };
 
@@ -189,25 +186,5 @@ struct ArenaLoadOptions {
     std::span<const std::string> aux_names = {},
     std::span<const std::vector<std::uint32_t>> aux = {},
     const std::string& meta = {}, const BinnedColumns* bins = nullptr);
-
-/// Portable text fallback ("nmdataset v1"): same contents as the binary
-/// artefact, floats at max_digits10 so binary32 values round-trip bit
-/// for bit, missing values spelled "NA". Loading a text artefact yields
-/// a heap arena byte-identical to the binary readers'.
-void save_arena_text(std::ostream& os, const FeatureArena& arena,
-                     std::span<const std::string> aux_names = {},
-                     std::span<const std::vector<std::uint32_t>> aux = {},
-                     const std::string& meta = {});
-[[nodiscard]] std::optional<StoredArena> load_arena_text(
-    std::istream& is, StoreStatus* status = nullptr);
-
-/// Format sniff + load: nmarena magic -> binary reader (honouring
-/// `options`), otherwise the text reader (always an eager heap arena).
-[[nodiscard]] std::optional<StoredArena> load_arena_auto(
-    const std::string& path, const ArenaLoadOptions& options = {},
-    StoreStatus* status = nullptr);
-
-/// True when `path` names a binary nmarena file (by magic sniff).
-[[nodiscard]] bool is_arena_file(const std::string& path);
 
 }  // namespace nevermind::ml

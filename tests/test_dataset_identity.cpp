@@ -1,5 +1,5 @@
 // The feature-store identity anchor: training from a persisted dataset
-// artefact — text, eager-binary, or mmap'ed — must reproduce the
+// artefact — eager-loaded or mmap'ed — must reproduce the
 // kernel trained straight off the simulator byte for byte, at 1 and 8
 // threads, for both the ticket predictor and the trouble locator; and
 // a served ranking computed from an artefact-trained kernel must match
@@ -67,25 +67,20 @@ class DatasetIdentityTest : public ::testing::Test {
     ref_locator_ = new core::TroubleLocator(locator_config(1));
     ref_locator_->train(*data_, kLocFrom, kLocTo);
 
-    // Persist both matrices once, in both formats, with the exact
-    // encoder layouts the reference models trained under.
+    // Persist both matrices once, with the exact encoder layouts the
+    // reference models trained under.
     const features::TicketLabeler labeler{predictor_config(1).horizon_days};
-    for (const char* name : {"pred.nmarena", "pred.txt"}) {
-      const auto st = features::save_predictor_dataset(
-          temp_path(name), *data_, kTrainFrom, kTrainTo,
-          reference_->full_encoder_config(), labeler);
-      ASSERT_TRUE(st.ok()) << st.message;
-    }
-    for (const char* name : {"loc.nmarena", "loc.txt"}) {
-      const auto st = features::save_locator_dataset(
-          temp_path(name), *data_, kLocFrom, kLocTo,
-          ref_locator_->encoder_config());
-      ASSERT_TRUE(st.ok()) << st.message;
-    }
+    const auto pred_st = features::save_predictor_dataset(
+        temp_path("pred.nmarena"), *data_, kTrainFrom, kTrainTo,
+        reference_->full_encoder_config(), labeler);
+    ASSERT_TRUE(pred_st.ok()) << pred_st.message;
+    const auto loc_st = features::save_locator_dataset(
+        temp_path("loc.nmarena"), *data_, kLocFrom, kLocTo,
+        ref_locator_->encoder_config());
+    ASSERT_TRUE(loc_st.ok()) << loc_st.message;
   }
   static void TearDownTestSuite() {
-    for (const char* name : {"pred.nmarena", "pred.txt", "loc.nmarena",
-                             "loc.txt"}) {
+    for (const char* name : {"pred.nmarena", "loc.nmarena"}) {
       std::remove(temp_path(name).c_str());
     }
     delete ref_locator_;
@@ -114,12 +109,10 @@ class DatasetIdentityTest : public ::testing::Test {
     ml::ArenaLoadMode mode;
   };
   static constexpr LoadCase kPredictorCases[] = {
-      {"text", "pred.txt", ml::ArenaLoadMode::kEager},
       {"eager-binary", "pred.nmarena", ml::ArenaLoadMode::kEager},
       {"mmap", "pred.nmarena", ml::ArenaLoadMode::kMapped},
   };
   static constexpr LoadCase kLocatorCases[] = {
-      {"text", "loc.txt", ml::ArenaLoadMode::kEager},
       {"eager-binary", "loc.nmarena", ml::ArenaLoadMode::kEager},
       {"mmap", "loc.nmarena", ml::ArenaLoadMode::kMapped},
   };
@@ -146,8 +139,7 @@ TEST_F(DatasetIdentityTest, PredictorKernelIdenticalAcrossLoadPathsAndThreads) {
           features::load_predictor_dataset(temp_path(c.file), c.mode, &st);
       ASSERT_TRUE(loaded.has_value()) << st.message;
       EXPECT_EQ(loaded->block.dataset.file_backed(),
-                c.mode == ml::ArenaLoadMode::kMapped &&
-                    std::string(c.label) != "text");
+                c.mode == ml::ArenaLoadMode::kMapped);
 
       core::TicketPredictor predictor(predictor_config(threads));
       predictor.train_from_block(loaded->block, loaded->encoder);
@@ -244,7 +236,7 @@ TEST_F(DatasetIdentityTest, MismatchedArtefactsAreRefused) {
                                                 ml::ArenaLoadMode::kEager, &st)
                    .has_value());
   EXPECT_EQ(st.code, ml::StoreError::kMalformedMeta);
-  EXPECT_FALSE(features::load_locator_dataset(temp_path("pred.txt"),
+  EXPECT_FALSE(features::load_locator_dataset(temp_path("pred.nmarena"),
                                               ml::ArenaLoadMode::kEager, &st)
                    .has_value());
   EXPECT_EQ(st.code, ml::StoreError::kMalformedMeta);

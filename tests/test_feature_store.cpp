@@ -1,9 +1,9 @@
-// nmarena v1 feature store: bit-exact round trips across the three
-// access paths (streaming writer -> eager reader, mmap reader, text
-// fallback), writer misuse, the read-only fence on file-backed arenas,
-// and the table-driven corruption taxonomy — every damaged file must
-// come back as its distinct typed error, never UB (this test runs in
-// the ASan/UBSan job like the rest of the suite).
+// nmarena feature store: bit-exact round trips across the access paths
+// (streaming writer -> eager reader, mmap reader), writer misuse, the
+// read-only fence on file-backed arenas, and the table-driven
+// corruption taxonomy — every damaged file must come back as its
+// distinct typed error, never UB (this test runs in the ASan/UBSan job
+// like the rest of the suite).
 #include "ml/feature_store.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -147,16 +146,6 @@ TEST(FeatureStore, MmapRoundTripIsBitExactAndReadOnly) {
   std::remove(path.c_str());
 }
 
-TEST(FeatureStore, TextRoundTripIsBitExact) {
-  std::stringstream ss;
-  save_arena_text(ss, tricky_arena(), kAuxNames, tricky_aux(), kMeta);
-  StoreStatus st;
-  auto got = load_arena_text(ss, &st);
-  ASSERT_TRUE(got.has_value()) << st.message;
-  expect_bit_identical(tricky_arena(), got->arena);
-  expect_sidecar_identical(*got);
-}
-
 TEST(FeatureStore, BinsRoundTripWritesV2AndIsBitExact) {
   const std::string path = temp_path("v2.nmarena");
   const BinnedColumns bins = tricky_bins();
@@ -271,31 +260,6 @@ TEST(FeatureStore, ZeroRowArtefactRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(FeatureStore, AutoLoadSniffsBinaryAndText) {
-  const std::string bin_path = write_tricky("auto.nmarena");
-  EXPECT_TRUE(is_arena_file(bin_path));
-  StoreStatus st;
-  auto bin = load_arena_auto(bin_path, {.mode = ArenaLoadMode::kMapped}, &st);
-  ASSERT_TRUE(bin.has_value()) << st.message;
-  EXPECT_TRUE(bin->arena.file_backed());
-
-  const std::string text_path = temp_path("auto.txt");
-  {
-    std::ofstream os(text_path);
-    save_arena_text(os, tricky_arena(), kAuxNames, tricky_aux(), kMeta);
-  }
-  EXPECT_FALSE(is_arena_file(text_path));
-  auto text = load_arena_auto(text_path, {}, &st);
-  ASSERT_TRUE(text.has_value()) << st.message;
-  expect_bit_identical(bin->arena, text->arena);
-
-  auto missing = load_arena_auto(temp_path("does_not_exist"), {}, &st);
-  EXPECT_FALSE(missing.has_value());
-  EXPECT_EQ(st.code, StoreError::kIoError);
-  std::remove(bin_path.c_str());
-  std::remove(text_path.c_str());
-}
-
 // ---------------------------------------------------------------------------
 // Corruption taxonomy — table-driven over both readers
 // ---------------------------------------------------------------------------
@@ -363,6 +327,23 @@ const CorruptionCase kCorruptionCases[] = {
     {"meta_bit_flip", StoreError::kChecksumMismatch,
      // The meta section is the file tail.
      [](std::vector<unsigned char>& b) { b[b.size() - 1] ^= 0x01; }},
+    {"legacy_text_dump", StoreError::kBadMagic,
+     // A dump in the retired portable text form (longer than the fixed
+     // header, so only the magic can refuse it) is foreign bytes to
+     // both readers.
+     [](std::vector<unsigned char>& b) {
+       const std::string text =
+           "nmdataset" " v1\n"
+           "meta 36\nnmdataset predictor\nencoder v1 stub\n\n"
+           "columns 3\nalpha 0\nbeta 1\ngamma 0\n"
+           "aux 2 line week\nrows 5 positives 2\n"
+           "1 10 0 1 2 NA\n"
+           "0 11 0 -0 1.40129846e-45 0.100000001\n"
+           "0 12 1 3.40000005e+38 -3.40000005e+38 0.333333343\n"
+           "1 13 1 NA 42.5 -7.25\n"
+           "0 14 2 0.300000012 5 1.00000003e-30\n";
+       b.assign(text.begin(), text.end());
+     }},
 };
 
 TEST(FeatureStoreCorruption, EveryDamageModeYieldsItsTypedError) {
@@ -391,6 +372,13 @@ TEST(FeatureStoreCorruption, EveryDamageModeYieldsItsTypedError) {
       EXPECT_FALSE(st.message.empty()) << c.name;
     }
     std::remove(path.c_str());
+  }
+  for (const auto mode : {ArenaLoadMode::kEager, ArenaLoadMode::kMapped}) {
+    StoreStatus st;
+    const std::string missing = temp_path("does_not_exist");
+    EXPECT_FALSE(load_arena(missing, {.mode = mode}, &st).has_value());
+    EXPECT_EQ(st.code, StoreError::kIoError)
+        << "mode " << static_cast<int>(mode);
   }
 }
 
@@ -490,24 +478,6 @@ TEST(FeatureStoreCorruption, V2BinsDamageModesYieldTypedErrors) {
     }
     std::remove(path.c_str());
   }
-}
-
-TEST(FeatureStoreCorruption, TextReaderRejectsForeignAndTruncatedInput) {
-  StoreStatus st;
-  std::istringstream not_ours("kernel v1 whatever");
-  EXPECT_FALSE(load_arena_text(not_ours, &st).has_value());
-  EXPECT_EQ(st.code, StoreError::kBadMagic);
-
-  std::istringstream future("nmdataset v9\nmeta 0\n");
-  EXPECT_FALSE(load_arena_text(future, &st).has_value());
-  EXPECT_EQ(st.code, StoreError::kBadVersion);
-
-  std::stringstream full;
-  save_arena_text(full, tricky_arena(), kAuxNames, tricky_aux(), kMeta);
-  const std::string text = full.str();
-  std::istringstream truncated(text.substr(0, text.size() - 10));
-  EXPECT_FALSE(load_arena_text(truncated, &st).has_value());
-  EXPECT_EQ(st.code, StoreError::kShortFile);
 }
 
 }  // namespace

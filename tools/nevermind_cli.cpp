@@ -48,11 +48,10 @@
 // ("nmkernel v1"), locate uses DIR/locator.model ("nmlocator v1").
 //
 // Encoded training matrices round-trip through --save-dataset FILE /
-// --load-dataset FILE: a FILE ending in .nmarena is the binary
-// columnar feature store (loaded zero-copy via mmap by default, or
-// eagerly with --dataset-load eager), anything else the portable text
-// fallback. Training from a loaded artefact skips the encode pass and
-// reproduces the directly-trained model byte for byte.
+// --load-dataset FILE: FILE is always the binary nmarena columnar
+// feature store, loaded zero-copy via mmap. Training from a loaded
+// artefact skips the encode pass and reproduces the directly-trained
+// model byte for byte.
 //
 // --stream (simulate/predict/locate/serve) runs the same workflows
 // without materializing the year of weekly measurements: the simulator
@@ -75,7 +74,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -121,7 +119,6 @@ struct CliArgs {
   std::string load_models_dir;
   std::string save_dataset_path;
   std::string load_dataset_path;
-  ml::ArenaLoadMode dataset_mode = ml::ArenaLoadMode::kMapped;
   std::size_t threads = 1;
   std::size_t shards = 16;
   ml::BinningMode binning = ml::BinningMode::kExact;
@@ -230,16 +227,6 @@ CliArgs parse(int argc, char** argv, int first) {
       args.save_dataset_path = value();
     } else if (flag == "--load-dataset") {
       args.load_dataset_path = value();
-    } else if (flag == "--dataset-load") {
-      const std::string mode = value();
-      if (mode == "mmap") {
-        args.dataset_mode = ml::ArenaLoadMode::kMapped;
-      } else if (mode == "eager") {
-        args.dataset_mode = ml::ArenaLoadMode::kEager;
-      } else {
-        die_usage("unknown --dataset-load mode '" + mode +
-                  "' (expected eager|mmap)");
-      }
     } else if (flag == "--threads") {
       // 0 stays accepted as an explicit "serial" (exec() treats <2 as
       // serial); non-numeric input is rejected rather than silently 0.
@@ -443,15 +430,6 @@ void validate_stream_flags(const CliArgs& args, const std::string& cmd) {
   if (!args.cluster_peers.empty()) {
     die_usage("--stream is not supported with --cluster");
   }
-  if (!args.save_dataset_path.empty()) {
-    constexpr std::string_view kExt = ".nmarena";
-    const std::string& p = args.save_dataset_path;
-    if (p.size() < kExt.size() ||
-        p.compare(p.size() - kExt.size(), kExt.size(), kExt) != 0) {
-      die_usage("--save-dataset with --stream requires a binary .nmarena "
-                "path (the text form cannot be streamed)");
-    }
-  }
 }
 
 /// SimConfig shared by every command: the dataset shape comes from the
@@ -570,8 +548,8 @@ std::optional<core::TicketPredictor> make_predictor(
   core::TicketPredictor predictor(std::move(cfg));
   if (!args.load_dataset_path.empty()) {
     ml::StoreStatus st;
-    auto loaded = features::load_predictor_dataset(args.load_dataset_path,
-                                                   args.dataset_mode, &st);
+    auto loaded = features::load_predictor_dataset(
+        args.load_dataset_path, ml::ArenaLoadMode::kMapped, &st);
     if (!loaded.has_value()) {
       std::cerr << "cannot load dataset " << args.load_dataset_path << ": "
                 << st.message << "\n";
@@ -706,8 +684,8 @@ int run_stream_scoring(const CliArgs& args, bool serve_format) {
 
   features::EncoderConfig full_cfg;
   {
-    auto base_loaded =
-        features::load_predictor_dataset(base_path, args.dataset_mode, &st);
+    auto base_loaded = features::load_predictor_dataset(
+        base_path, ml::ArenaLoadMode::kMapped, &st);
     if (!base_loaded.has_value()) {
       std::cerr << "cannot load " << base_path << ": " << st.message << "\n";
       return 1;
@@ -740,8 +718,8 @@ int run_stream_scoring(const CliArgs& args, bool serve_format) {
     std::cerr << "saved training matrix to " << full_path << "\n";
   }
   {
-    auto loaded =
-        features::load_predictor_dataset(full_path, args.dataset_mode, &st);
+    auto loaded = features::load_predictor_dataset(
+        full_path, ml::ArenaLoadMode::kMapped, &st);
     if (!loaded.has_value()) {
       std::cerr << "cannot load " << full_path << ": " << st.message << "\n";
       return 1;
@@ -866,7 +844,7 @@ int cmd_locate_stream(const CliArgs& args) {
   }
   {
     auto loaded =
-        features::load_locator_dataset(path, args.dataset_mode, &st);
+        features::load_locator_dataset(path, ml::ArenaLoadMode::kMapped, &st);
     if (!loaded.has_value()) {
       std::cerr << "cannot load " << path << ": " << st.message << "\n";
       return 1;
@@ -923,8 +901,8 @@ int cmd_locate(const CliArgs& args) {
     locator_opt.emplace(cfg);
     if (!args.load_dataset_path.empty()) {
       ml::StoreStatus st;
-      auto loaded = features::load_locator_dataset(args.load_dataset_path,
-                                                   args.dataset_mode, &st);
+      auto loaded = features::load_locator_dataset(
+          args.load_dataset_path, ml::ArenaLoadMode::kMapped, &st);
       if (!loaded.has_value()) {
         std::cerr << "cannot load dataset " << args.load_dataset_path << ": "
                   << st.message << "\n";
@@ -946,9 +924,9 @@ int cmd_locate(const CliArgs& args) {
       locator_opt->train(data, train_from, train_to);
     }
     if (!args.save_dataset_path.empty()) {
-      // Under histogram binning the binary artefact also carries the
-      // bin codes (nmarena v2), so a later --load-dataset run can skip
-      // re-binning entirely.
+      // Under histogram binning the artefact also carries the bin codes
+      // (nmarena v2), so a later --load-dataset run can skip re-binning
+      // entirely.
       const bool with_bins = args.binning == ml::BinningMode::kHistogram;
       const auto st = features::save_locator_dataset(
           args.save_dataset_path, data, train_from, train_to,
@@ -1338,8 +1316,8 @@ int cmd_cluster_node(int argc, char** argv) {
   return 0;
 }
 
-/// dataset FILE [--verify]: open a feature-store artefact (binary via
-/// mmap, text via the fallback reader) and print what it holds without
+/// dataset FILE [--verify]: open a feature-store artefact via mmap and
+/// print what it holds without
 /// training anything. --verify additionally checks every per-column
 /// payload checksum on the mapped path.
 int cmd_dataset(int argc, char** argv) {
@@ -1364,12 +1342,11 @@ int cmd_dataset(int argc, char** argv) {
     return 2;
   }
 
-  const bool binary = ml::is_arena_file(path);
   ml::ArenaLoadOptions opts;
   opts.mode = ml::ArenaLoadMode::kMapped;
   opts.verify_payload = verify;
   ml::StoreStatus st;
-  const auto stored = ml::load_arena_auto(path, opts, &st);
+  const auto stored = ml::load_arena(path, opts, &st);
   if (!stored.has_value()) {
     std::cerr << "error: " << path << ": " << st.message << " ["
               << ml::store_error_name(st.code) << "]\n";
@@ -1383,9 +1360,8 @@ int cmd_dataset(int argc, char** argv) {
   for (std::size_t j = 0; j < arena.n_cols(); ++j) {
     if (arena.column_info(j).categorical) ++categorical;
   }
-  const char* format = !binary             ? "text nmdataset v1"
-                       : stored->bins ? "binary nmarena v2"
-                                      : "binary nmarena v1";
+  const char* format =
+      stored->bins ? "binary nmarena v2" : "binary nmarena v1";
   std::cout << "file: " << path << " (" << format << ", " << (ec ? 0 : size)
             << " bytes)\n"
             << "kind: "
@@ -1406,12 +1382,10 @@ int cmd_dataset(int argc, char** argv) {
               << " columns quantized (max_bins " << stored->bins->max_bins()
               << ")\n";
   }
-  if (binary) {
-    std::cout << "checksums: "
-              << (verify ? "payload verified" : "header/meta/labels verified"
-                                                " (use --verify for payload)")
-              << "\n";
-  }
+  std::cout << "checksums: "
+            << (verify ? "payload verified" : "header/meta/labels verified"
+                                              " (use --verify for payload)")
+            << "\n";
   return 0;
 }
 
@@ -1520,7 +1494,6 @@ void usage() {
          "[--crossboxes-per-dslam C] "
          "[--model FILE] [--save-models DIR] [--load-models DIR] "
          "[--save-dataset FILE] [--load-dataset FILE] "
-         "[--dataset-load eager|mmap] "
          "[--threads T] [--shards P] [--binning exact|hist] "
          "[--simd auto|scalar|avx2] [--stream] [--window-weeks W]\n"
          "  --stream (simulate|predict|locate|serve)   run the streamed "
@@ -1540,7 +1513,7 @@ void usage() {
          "[--replication R]   coordinate the listed cluster-node "
          "processes and print the merged ranking\n"
          "  dataset FILE [--verify]   inspect a persisted feature-store "
-         "artefact (.nmarena = binary, else text)\n"
+         "artefact (nmarena)\n"
          "  spatial [--lines N] [--seed S] [--week W]   simulate with "
          "correlated infrastructure faults and print network-vs-premise "
          "verdicts for week W\n";
