@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -57,6 +58,78 @@ std::vector<std::pair<std::size_t, std::size_t>> pairs_from_scores(
   return pairs;
 }
 
+/// Scoring knobs of the per-feature selection predictors.
+ml::FeatureScoringConfig selection_scoring(const PredictorConfig& config,
+                                           int n_val) {
+  ml::FeatureScoringConfig scoring;
+  scoring.boost_iterations = config.selection_boost_iterations;
+  scoring.top_n = config.top_n * static_cast<std::size_t>(n_val);
+  scoring.exec = config.exec;
+  return scoring;
+}
+
+/// Stage 1: per-feature scores of the columns of `base_view` (a column
+/// view of `block`), trained on the selection weeks and scored on the
+/// validation weeks.
+std::vector<double> score_stage1(const PredictorConfig& config,
+                                 const features::EncodedBlock& block,
+                                 const ml::DatasetView& base_view,
+                                 int train_from, int train_to, int n_val) {
+  const int sel_train_to = train_to - n_val;  // may equal train_from
+  const ml::DatasetView sel_train =
+      base_view.rows(rows_in_weeks(block, train_from, sel_train_to));
+  const ml::DatasetView sel_val =
+      base_view.rows(rows_in_weeks(block, sel_train_to + 1, train_to));
+  return ml::score_features(sel_train, sel_val, config.selection,
+                            selection_scoring(config, n_val));
+}
+
+/// Word-wise 64-bit hash of a byte range, chained from `seed`.
+std::uint64_t hash_bytes(const void* data, std::size_t n,
+                         std::uint64_t seed) noexcept {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = seed ^ (n * 0x9E3779B97F4A7C15ULL);
+  const auto mix = [&h](std::uint64_t word) {
+    h = (h ^ word) * 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 31;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p + i, 8);
+    mix(word);
+  }
+  if (i < n) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + i, n - i);
+    mix(word);
+  }
+  return h;
+}
+
+/// Fingerprint of everything stage-1 scores depend on besides the
+/// predictor's own configuration: the first `n_base` columns, the week
+/// of every row and the labels. Columns hash in parallel into their own
+/// slots, then combine in column order.
+std::uint64_t stage1_fingerprint(const features::EncodedBlock& block,
+                                 std::size_t n_base,
+                                 const exec::ExecContext& exec) {
+  const ml::FeatureArena& arena = block.dataset;
+  std::vector<std::uint64_t> parts(n_base + 2);
+  exec.parallel_for(0, n_base, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t j = b; j < e; ++j) {
+      const auto col = arena.column(j);
+      parts[j] = hash_bytes(col.data(), col.size_bytes(), j);
+    }
+  });
+  parts[n_base] = hash_bytes(block.week_of_row.data(),
+                             block.week_of_row.size() * sizeof(int), n_base);
+  const auto labels = arena.labels();
+  parts[n_base + 1] = hash_bytes(labels.data(), labels.size(), n_base + 1);
+  return hash_bytes(parts.data(), parts.size() * sizeof(std::uint64_t),
+                    arena.n_rows());
+}
+
 /// True when the non-derived encoder fields agree — the precondition
 /// for training this predictor off an externally encoded block.
 bool same_base_layout(const features::EncoderConfig& a,
@@ -84,7 +157,6 @@ void TicketPredictor::train(const dslsim::SimDataset& data, int train_from,
   }
   const int n_weeks = train_to - train_from + 1;
   const int n_val = validation_weeks(n_weeks, config_.validation_fraction);
-  const int sel_train_to = train_to - n_val;  // may equal train_from
 
   const features::TicketLabeler labeler{config_.horizon_days};
 
@@ -93,21 +165,11 @@ void TicketPredictor::train(const dslsim::SimDataset& data, int train_from,
   base_cfg.include_quadratic = false;
   base_cfg.product_pairs.clear();
 
-  ml::FeatureScoringConfig scoring;
-  scoring.boost_iterations = config_.selection_boost_iterations;
-  scoring.top_n = config_.top_n * static_cast<std::size_t>(n_val);
-  scoring.exec = config_.exec;
-
   features::EncodedBlock base_block =
       features::encode_weeks(data, train_from, train_to, base_cfg, labeler);
-  const auto train_rows = rows_in_weeks(base_block, train_from, sel_train_to);
-  const auto val_rows = rows_in_weeks(base_block, sel_train_to + 1, train_to);
-  const ml::DatasetView base_view(base_block.dataset);
-  const ml::DatasetView sel_train = base_view.rows(train_rows);
-  const ml::DatasetView sel_val = base_view.rows(val_rows);
-
   const std::vector<double> base_scores =
-      ml::score_features(sel_train, sel_val, config_.selection, scoring);
+      score_stage1(config_, base_block, ml::DatasetView(base_block.dataset),
+                   train_from, train_to, n_val);
 
   // Base features above the history/customer threshold. Baseline
   // methods (Fig 6) have no comparable absolute threshold; they take
@@ -159,30 +221,24 @@ void TicketPredictor::train_from_block(
   const int train_to = *max_it;
   const int n_val = validation_weeks(train_to - train_from + 1,
                                      config_.validation_fraction);
-  const int sel_train_to = train_to - n_val;
 
   // ---- stage 1 on the base-column prefix of the stored matrix --------
   // Base columns are a prefix of the full layout with identical values,
   // and per-feature scoring is column-independent, so these scores
-  // equal a fresh base-only encode's bit for bit.
-  ml::FeatureScoringConfig scoring;
-  scoring.boost_iterations = config_.selection_boost_iterations;
-  scoring.top_n = config_.top_n * static_cast<std::size_t>(n_val);
-  scoring.exec = config_.exec;
-
+  // equal a fresh base-only encode's bit for bit. When plan_full_encoder
+  // already scored the same base matrix, its scores are reused.
   const std::size_t n_base = features::base_columns(base_cfg).size();
-  std::vector<std::size_t> base_cols(n_base);
-  std::iota(base_cols.begin(), base_cols.end(), std::size_t{0});
-
-  const ml::DatasetView full_view(block.dataset);
-  const ml::DatasetView base_view = full_view.cols(base_cols);
-  const ml::DatasetView sel_train =
-      base_view.rows(rows_in_weeks(block, train_from, sel_train_to));
-  const ml::DatasetView sel_val =
-      base_view.rows(rows_in_weeks(block, sel_train_to + 1, train_to));
-
-  const std::vector<double> base_scores =
-      ml::score_features(sel_train, sel_val, config_.selection, scoring);
+  std::vector<double> base_scores;
+  if (plan_.has_value() &&
+      plan_->fingerprint == stage1_fingerprint(block, n_base, config_.exec)) {
+    base_scores = plan_->scores;
+  } else {
+    std::vector<std::size_t> base_cols(n_base);
+    std::iota(base_cols.begin(), base_cols.end(), std::size_t{0});
+    base_scores = score_stage1(config_, block,
+                               ml::DatasetView(block.dataset).cols(base_cols),
+                               train_from, train_to, n_val);
+  }
   std::vector<std::size_t> base_selected = select_base(config_, base_scores);
 
   // Recompute the derived layout stage 1 implies and require the
@@ -205,7 +261,7 @@ void TicketPredictor::train_from_block(
 }
 
 features::EncoderConfig TicketPredictor::plan_full_encoder(
-    const features::EncodedBlock& base_block) const {
+    const features::EncodedBlock& base_block) {
   const std::size_t n_rows = base_block.dataset.n_rows();
   if (n_rows == 0 || base_block.week_of_row.size() != n_rows) {
     throw std::invalid_argument(
@@ -226,26 +282,19 @@ features::EncoderConfig TicketPredictor::plan_full_encoder(
   const int train_to = *max_it;
   const int n_val = validation_weeks(train_to - train_from + 1,
                                      config_.validation_fraction);
-  const int sel_train_to = train_to - n_val;
-
-  ml::FeatureScoringConfig scoring;
-  scoring.boost_iterations = config_.selection_boost_iterations;
-  scoring.top_n = config_.top_n * static_cast<std::size_t>(n_val);
-  scoring.exec = config_.exec;
-
-  const ml::DatasetView base_view(base_block.dataset);
-  const ml::DatasetView sel_train =
-      base_view.rows(rows_in_weeks(base_block, train_from, sel_train_to));
-  const ml::DatasetView sel_val =
-      base_view.rows(rows_in_weeks(base_block, sel_train_to + 1, train_to));
-  const std::vector<double> base_scores =
-      ml::score_features(sel_train, sel_val, config_.selection, scoring);
+  std::vector<double> base_scores =
+      score_stage1(config_, base_block, ml::DatasetView(base_block.dataset),
+                   train_from, train_to, n_val);
 
   features::EncoderConfig full = base_cfg;
   if (config_.use_derived_features) {
     full.include_quadratic = true;
     full.product_pairs = pairs_from_scores(config_, base_scores);
   }
+  plan_ = StageOnePlan{
+      stage1_fingerprint(base_block, base_block.dataset.n_cols(),
+                         config_.exec),
+      std::move(base_scores)};
   return full;
 }
 
@@ -255,10 +304,7 @@ void TicketPredictor::finish_train(const features::EncodedBlock& full_block,
                                    int train_from, int train_to, int n_val) {
   const int sel_train_to = train_to - n_val;
 
-  ml::FeatureScoringConfig scoring;
-  scoring.boost_iterations = config_.selection_boost_iterations;
-  scoring.top_n = config_.top_n * static_cast<std::size_t>(n_val);
-  scoring.exec = config_.exec;
+  const ml::FeatureScoringConfig scoring = selection_scoring(config_, n_val);
 
   const auto ftrain = rows_in_weeks(full_block, train_from, sel_train_to);
   const auto fval = rows_in_weeks(full_block, sel_train_to + 1, train_to);

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/scoring_kernel.hpp"
@@ -116,10 +118,13 @@ class TicketPredictor {
   /// configuration and train_from_block then accepts it; because the
   /// scoring is column-independent, the plan equals what
   /// train_from_block recomputes from the full matrix's base prefix,
-  /// bit for bit. Throws std::invalid_argument on an empty block or a
-  /// column layout that is not this predictor's base layout.
+  /// bit for bit. The plan keeps its stage-1 scores with a fingerprint
+  /// of the base matrix (values, weeks, labels); train_from_block reuses
+  /// them when the full matrix's base prefix has the same fingerprint
+  /// and re-scores otherwise. Throws std::invalid_argument on an empty
+  /// block or a column layout that is not this predictor's base layout.
   [[nodiscard]] features::EncoderConfig plan_full_encoder(
-      const features::EncodedBlock& base_block) const;
+      const features::EncodedBlock& base_block);
 
   /// Rank all lines at the given test week, best first.
   [[nodiscard]] std::vector<Prediction> predict_week(
@@ -158,8 +163,16 @@ class TicketPredictor {
                     std::vector<std::size_t> base_selected, int train_from,
                     int train_to, int n_val);
 
+  /// Stage-1 scores of the last plan_full_encoder call and the
+  /// fingerprint of the base matrix they were computed on.
+  struct StageOnePlan {
+    std::uint64_t fingerprint = 0;
+    std::vector<double> scores;
+  };
+
   PredictorConfig config_;
   ScoringKernel kernel_;
+  std::optional<StageOnePlan> plan_;
 };
 
 }  // namespace nevermind::core

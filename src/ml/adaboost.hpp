@@ -108,8 +108,27 @@ struct TrainDiagnostics {
 
 /// Train a single-feature BStump (used by per-feature selection scores:
 /// the paper builds "a ticket predictor given each individual feature").
+/// Exact-path only, byte-identical to train_bstump on a one-column view.
 [[nodiscard]] BStumpModel train_bstump_single_feature(
     const DatasetView& data, std::size_t feature, const BStumpConfig& config);
+
+/// train_bstump_single_feature for callers that train many in a row
+/// (feature selection trains one per column): the booster keeps its
+/// buffers between calls. Not thread-safe; give each task its own.
+class SingleFeatureBooster {
+ public:
+  SingleFeatureBooster();
+  ~SingleFeatureBooster();
+  SingleFeatureBooster(const SingleFeatureBooster&) = delete;
+  SingleFeatureBooster& operator=(const SingleFeatureBooster&) = delete;
+
+  [[nodiscard]] BStumpModel train(const DatasetView& data, std::size_t feature,
+                                  const BStumpConfig& config);
+
+ private:
+  struct Buffers;
+  std::unique_ptr<Buffers> buffers_;
+};
 
 /// Train against a shared immutable matrix with externally supplied
 /// labels — no dataset copies. `cache` comes from make_train_cache on

@@ -1,12 +1,18 @@
-// Minimal over-aligned allocator so hot byte/double arrays (bin codes,
-// kernel scratch) start on cache-line boundaries — the same 64-byte
-// alignment discipline the nmarena payload keeps on disk and in memory.
+// Minimal allocators: an over-aligned one so hot byte/double arrays
+// (bin codes, kernel scratch) start on cache-line boundaries — the same
+// 64-byte alignment discipline the nmarena payload keeps on disk and in
+// memory — and a page-backed one for large, short-lived scratch.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <vector>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#define NEVERMIND_HAVE_MMAP 1
+#endif
 
 namespace nevermind::ml {
 
@@ -40,6 +46,46 @@ struct AlignedAlloc {
     return true;
   }
 };
+
+/// Page-backed allocator for large per-task scratch that is built and
+/// dropped many times: each buffer is its own anonymous mapping, so
+/// freeing it returns the pages at once and never raises malloc's
+/// dynamic mmap/trim thresholds, which would otherwise leave freed
+/// scratch resident in the heap arenas.
+template <typename T>
+struct PageAlloc {
+  using value_type = T;
+
+  PageAlloc() noexcept = default;
+  template <typename U>
+  PageAlloc(const PageAlloc<U>&) noexcept {}  // NOLINT
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+#if defined(NEVERMIND_HAVE_MMAP)
+    void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+#else
+    return static_cast<T*>(::operator new(n * sizeof(T)));
+#endif
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+#if defined(NEVERMIND_HAVE_MMAP)
+    ::munmap(p, n * sizeof(T));
+#else
+    ::operator delete(p, n * sizeof(T));
+#endif
+  }
+
+  template <typename U>
+  bool operator==(const PageAlloc<U>&) const noexcept {
+    return true;
+  }
+};
+
+template <typename T>
+using PageVector = std::vector<T, PageAlloc<T>>;
 
 /// Cache-line-aligned storage for per-row uint8 bin codes.
 using AlignedCodeVector = std::vector<std::uint8_t, AlignedAlloc<std::uint8_t, 64>>;

@@ -5,15 +5,11 @@
 #include <limits>
 
 #include "ml/simd.hpp"
+#include "ml/stump_math.hpp"
 
 namespace nevermind::ml {
 
 namespace {
-
-/// Midpoint threshold between two adjacent observed values — the exact
-/// float expression scan_continuous uses, so lossless bins reproduce
-/// its thresholds bit for bit.
-float midpoint(float lo, float hi) noexcept { return lo + (hi - lo) * 0.5F; }
 
 void bin_continuous(const ColumnView& col, std::size_t max_finite,
                     BinnedColumns::Column& out) {
@@ -74,7 +70,9 @@ void bin_continuous(const ColumnView& col, std::size_t max_finite,
   }
   out.split_values.resize(n_bins > 0 ? n_bins - 1 : 0);
   for (std::size_t b = 0; b + 1 < n_bins; ++b) {
-    out.split_values[b] = midpoint(upper[b], lower[b + 1]);
+    // The exact scan's threshold helper, so lossless bins reproduce its
+    // thresholds bit for bit.
+    out.split_values[b] = detail::split_midpoint(upper[b], lower[b + 1]);
   }
 
   for (std::size_t r = 0; r < col.size(); ++r) {

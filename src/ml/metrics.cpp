@@ -58,6 +58,49 @@ double top_n_average_precision(std::span<const double> scores,
   return sum / static_cast<double>(n);
 }
 
+double top_n_average_precision_levels(
+    std::span<const std::uint32_t> level_of_row,
+    std::span<const double> level_scores,
+    std::span<const std::uint8_t> labels, std::size_t n) {
+  const std::size_t limit = std::min(n, level_of_row.size());
+  if (n == 0) return 0.0;
+
+  // Bucket per level: distinct scores, best first.
+  const auto by_score = rank_by_score(level_scores);
+  std::vector<std::size_t> bucket_of(level_scores.size());
+  std::size_t n_buckets = 0;
+  for (std::size_t k = 0; k < by_score.size(); ++k) {
+    if (k == 0 ||
+        level_scores[by_score[k]] != level_scores[by_score[k - 1]]) {
+      ++n_buckets;
+    }
+    bucket_of[by_score[k]] = n_buckets - 1;
+  }
+
+  // Counting sort of the rows by bucket, stable in row index; only the
+  // first `limit` ranks are kept.
+  std::vector<std::size_t> next(n_buckets + 1, 0);
+  for (const std::uint32_t level : level_of_row) {
+    ++next[bucket_of[level] + 1];
+  }
+  for (std::size_t b = 0; b < n_buckets; ++b) next[b + 1] += next[b];
+  std::vector<std::uint8_t> ranked(limit, 0);
+  for (std::size_t r = 0; r < level_of_row.size(); ++r) {
+    const std::size_t rank = next[bucket_of[level_of_row[r]]]++;
+    if (rank < limit) ranked[rank] = labels[r] != 0 ? 1 : 0;
+  }
+
+  double sum = 0.0;
+  std::size_t positives = 0;
+  for (std::size_t r = 0; r < limit; ++r) {
+    if (ranked[r] != 0) {
+      ++positives;
+      sum += static_cast<double>(positives) / static_cast<double>(r + 1);
+    }
+  }
+  return sum / static_cast<double>(n);
+}
+
 double average_precision(std::span<const double> scores,
                          std::span<const std::uint8_t> labels) {
   const auto order = rank_by_score(scores);

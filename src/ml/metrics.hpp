@@ -34,6 +34,17 @@ namespace nevermind::ml {
                                              std::span<const std::uint8_t> labels,
                                              std::size_t n);
 
+/// top_n_average_precision of a piecewise-constant scorer: row r scores
+/// level_scores[level_of_row[r]]. Rows are bucketed by distinct score
+/// (levels whose scores compare equal share a bucket), best first and
+/// in index order within a bucket — exactly rank_by_score's order — so
+/// the result is the same double as expanding the scores, in
+/// O(rows + levels log levels) with no row sort. Scores must not be NaN.
+[[nodiscard]] double top_n_average_precision_levels(
+    std::span<const std::uint32_t> level_of_row,
+    std::span<const double> level_scores,
+    std::span<const std::uint8_t> labels, std::size_t n);
+
 /// Standard average precision over the full ranking (the "Average
 /// precision" baseline of Table 4): mean of Prec(r) over positive ranks.
 [[nodiscard]] double average_precision(std::span<const double> scores,

@@ -2,44 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "ml/stump_math.hpp"
 
 namespace nevermind::ml {
 
-namespace {
-
-struct WeightPair {
-  double pos = 0.0;
-  double neg = 0.0;
-
-  void add(bool positive, double w) noexcept {
-    if (positive) {
-      pos += w;
-    } else {
-      neg += w;
-    }
-  }
-  WeightPair operator-(const WeightPair& o) const noexcept {
-    return {pos - o.pos, neg - o.neg};
-  }
-};
-
-double block_z(const WeightPair& w) noexcept {
-  const double p = std::max(w.pos, 0.0);
-  const double n = std::max(w.neg, 0.0);
-  return 2.0 * std::sqrt(p * n);
-}
-
-double block_score(const WeightPair& w, double eps) noexcept {
-  return 0.5 * std::log((std::max(w.pos, 0.0) + eps) /
-                        (std::max(w.neg, 0.0) + eps));
-}
-
-}  // namespace
+using detail::block_score;
+using detail::block_z;
+using detail::WeightPair;
 
 SortedColumns::SortedColumns(const DatasetView& data,
                              std::span<const std::size_t> only,
                              const exec::ExecContext& exec)
-    : sorted_(data.n_cols()), groups_(data.n_cols()) {
+    : sorted_(data.n_cols()),
+      split_after_(data.n_cols()),
+      groups_(data.n_cols()) {
   std::vector<std::size_t> all;
   if (only.empty()) {
     all.resize(data.n_cols());
@@ -84,6 +62,13 @@ SortedColumns::SortedColumns(const DatasetView& data,
                   [&](std::uint32_t a, std::uint32_t b2) {
                     return col[a] < col[b2];
                   });
+        auto& bits = split_after_[j];
+        bits.assign((idx.size() + 63) / 64, 0);
+        for (std::size_t k = 0; k + 1 < idx.size(); ++k) {
+          if (col[idx[k + 1]] > col[idx[k]]) {
+            bits[k / 64] |= std::uint64_t{1} << (k % 64);
+          }
+        }
       }
     }
   });
@@ -92,14 +77,13 @@ SortedColumns::SortedColumns(const DatasetView& data,
 namespace {
 
 /// Per-scan gather buffers. The sorted row index makes every pass over
-/// a feature a random-access walk of labels/weights/values; gathering
-/// the triples into contiguous scratch ONCE (fused with the present
-/// sum) turns the remaining passes into streaming reads. Pure memory
-/// layout: the add order of every weight is unchanged, so results stay
+/// a feature a random-access walk of labels/weights; gathering the
+/// pairs into contiguous scratch ONCE (fused with the present sum)
+/// turns the threshold pass into streaming reads. Pure memory layout:
+/// the add order of every weight is unchanged, so results stay
 /// byte-identical to the unblocked scans. Reused across the features
 /// of a chunk, so it allocates once per chunk, not per feature.
 struct GatherScratch {
-  std::vector<float> values;
   std::vector<std::uint8_t> labels;
   std::vector<double> weights;
   std::vector<std::size_t> offsets;  // categorical group bounds
@@ -110,13 +94,13 @@ struct GatherScratch {
 /// in as a span so one matrix can serve many relabelled problems.
 StumpSearchResult scan_continuous(const ColumnView& col,
                                   std::span<const std::uint32_t> sorted,
+                                  std::span<const std::uint64_t> split_after,
                                   std::span<const std::uint8_t> labels,
                                   std::span<const double> weights,
                                   double smoothing, std::size_t feature,
                                   const WeightPair& total,
                                   GatherScratch& scratch) {
   const std::size_t n = sorted.size();
-  scratch.values.resize(n);
   scratch.labels.resize(n);
   scratch.weights.resize(n);
 
@@ -126,7 +110,6 @@ StumpSearchResult scan_continuous(const ColumnView& col,
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t r = sorted[i];
     const bool positive = labels[r] != 0;
-    scratch.values[i] = col[r];
     scratch.labels[i] = positive ? 1 : 0;
     scratch.weights[i] = weights[r];
     present.add(positive, weights[r]);
@@ -136,39 +119,38 @@ StumpSearchResult scan_continuous(const ColumnView& col,
 
   StumpSearchResult best;
   best.z = std::numeric_limits<double>::infinity();
-
-  auto consider = [&](float threshold, const WeightPair& below) {
-    const WeightPair above = present - below;
-    const double z = block_z(below) + block_z(above) + z_missing;
+  WeightPair best_below;
+  auto consider = [&](std::size_t i, const WeightPair& below) {
+    const double z = detail::block_z_sum(below, present - below) + z_missing;
     if (z < best.z) {
       best.z = z;
-      best.stump.feature = feature;
-      best.stump.categorical = false;
-      best.stump.threshold = threshold;
-      best.stump.score_fail = block_score(below, smoothing);
-      best.stump.score_pass = block_score(above, smoothing);
-      best.stump.score_missing = block_score(missing, smoothing);
+      best.stump.threshold =
+          i == n ? -std::numeric_limits<float>::infinity()
+                 : detail::split_midpoint(col[sorted[i]], col[sorted[i + 1]]);
+      best_below = below;
     }
   };
 
   // The no-split stump (all present rows on the "pass" side) is a valid
   // weak learner too — it votes a constant plus the missing branch.
-  consider(-std::numeric_limits<float>::infinity(), WeightPair{});
-
-  // The threshold scan streams the gathered triples instead of chasing
-  // the sorted index again.
+  consider(n, WeightPair{});
+  // Then every value change, ascending: the gathered pairs stream, and
+  // the split bitmap replaces comparing values through the index.
   WeightPair below;
-  for (std::size_t i = 0; i < n; ++i) {
-    below.add(scratch.labels[i] != 0, scratch.weights[i]);
-    if (i + 1 < n) {
-      const float v = scratch.values[i];
-      const float next = scratch.values[i + 1];
-      if (next > v) {
-        // Midpoint threshold keeps evaluation robust to new data.
-        consider(v + (next - v) * 0.5F, below);
-      }
+  for (std::size_t w = 0; w < split_after.size(); ++w) {
+    const std::size_t end = std::min(n, w * 64 + 64);
+    const std::uint64_t bits = split_after[w];
+    for (std::size_t i = w * 64; i < end; ++i) {
+      below.add(scratch.labels[i] != 0, scratch.weights[i]);
+      if ((bits >> (i % 64)) & 1U) consider(i, below);
     }
   }
+
+  best.stump.feature = feature;
+  best.stump.categorical = false;
+  best.stump.score_fail = block_score(best_below, smoothing);
+  best.stump.score_pass = block_score(present - best_below, smoothing);
+  best.stump.score_missing = block_score(missing, smoothing);
   return best;
 }
 
@@ -210,7 +192,7 @@ StumpSearchResult scan_categorical(
       equal.add(scratch.labels[i] != 0, scratch.weights[i]);
     }
     const WeightPair rest = present - equal;
-    const double z = block_z(equal) + block_z(rest) + z_missing;
+    const double z = detail::block_z_sum(equal, rest) + z_missing;
     if (z < best.z) {
       best.z = z;
       best.stump.feature = feature;
@@ -246,7 +228,8 @@ StumpSearchResult find_best_stump_for_feature(
                             feature, total, scratch);
   }
   return scan_continuous(data.column(feature), sorted.sorted_rows(feature),
-                         labels, weights, smoothing, feature, total, scratch);
+                         sorted.split_after(feature), labels, weights,
+                         smoothing, feature, total, scratch);
 }
 
 StumpSearchResult find_best_stump_for_feature(const DatasetView& data,
@@ -283,8 +266,8 @@ StumpSearchResult find_best_stump(const DatasetView& data,
                   ? scan_categorical(sorted.groups(j), labels, weights,
                                      smoothing, j, total, scratch)
                   : scan_continuous(data.column(j), sorted.sorted_rows(j),
-                                    labels, weights, smoothing, j, total,
-                                    scratch);
+                                    sorted.split_after(j), labels, weights,
+                                    smoothing, j, total, scratch);
           if (candidate.z < best.z) best = candidate;
         }
         return best;

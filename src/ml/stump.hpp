@@ -36,11 +36,17 @@ struct Stump {
 };
 
 /// Per-column preprocessing shared by every boosting iteration: row
-/// indices sorted by feature value for continuous columns, and rows
-/// grouped by value for categorical columns. Building this once turns
-/// each boosting iteration into a linear scan per feature. Indices are
-/// view-local positions — searches must run against the same view the
-/// index was built on.
+/// indices sorted by feature value (with a bitmap of the value changes
+/// along that order) for continuous columns, and rows grouped by value
+/// for categorical columns. Building this once turns each boosting
+/// iteration into a linear scan per feature. Indices are view-local
+/// positions — searches must run against the same view the index was
+/// built on.
+///
+/// The continuous order comes from an unstable std::sort and must not
+/// change: across several features, rows tied on one column can carry
+/// different boosting weights, so the tie order feeds the ulp-level
+/// weight sums of every split scan (DESIGN.md §7).
 class SortedColumns {
  public:
   /// Indexes every column, or — when `only` is non-empty — just the
@@ -59,12 +65,21 @@ class SortedColumns {
   [[nodiscard]] std::span<const std::uint32_t> sorted_rows(std::size_t col) const {
     return sorted_[col];
   }
+  /// Split candidates of a continuous column, one bit per sorted
+  /// position: bit i is set when the value after position i is larger.
+  /// A scan walks the set bits instead of comparing values through the
+  /// row index, at n/8 bytes per column.
+  [[nodiscard]] std::span<const std::uint64_t> split_after(
+      std::size_t col) const {
+    return split_after_[col];
+  }
   [[nodiscard]] std::span<const CategoricalGroup> groups(std::size_t col) const {
     return groups_[col];
   }
 
  private:
   std::vector<std::vector<std::uint32_t>> sorted_;       // continuous cols
+  std::vector<std::vector<std::uint64_t>> split_after_;  // continuous cols
   std::vector<std::vector<CategoricalGroup>> groups_;    // categorical cols
 };
 

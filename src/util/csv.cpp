@@ -1,7 +1,7 @@
 #include "util/csv.hpp"
 
-#include <istream>
 #include <ostream>
+#include <string_view>
 
 namespace nevermind::util {
 
@@ -34,46 +34,6 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
     write_field(os_, cells[i]);
   }
   os_ << '\n';
-}
-
-std::vector<std::string> parse_csv_line(std::string_view line) {
-  std::vector<std::string> cells;
-  std::string cur;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(cur));
-      cur.clear();
-    } else if (c != '\r') {
-      cur += c;
-    }
-  }
-  cells.push_back(std::move(cur));
-  return cells;
-}
-
-std::vector<std::vector<std::string>> read_csv(std::istream& is) {
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    rows.push_back(parse_csv_line(line));
-  }
-  return rows;
 }
 
 }  // namespace nevermind::util

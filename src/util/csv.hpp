@@ -1,11 +1,10 @@
-// Minimal CSV writer/reader. The simulator can export its generated
+// Minimal CSV writer. The simulator can export its generated
 // datasets (line measurements, tickets, disposition notes) so that the
 // pipeline can also be studied outside C++ (e.g. plotting bench output).
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace nevermind::util {
@@ -21,12 +20,5 @@ class CsvWriter {
  private:
   std::ostream& os_;
 };
-
-/// Parse one CSV line (handles quoted fields with embedded commas and
-/// doubled quotes). Exposed for tests.
-[[nodiscard]] std::vector<std::string> parse_csv_line(std::string_view line);
-
-/// Read an entire CSV stream into rows of cells.
-[[nodiscard]] std::vector<std::vector<std::string>> read_csv(std::istream& is);
 
 }  // namespace nevermind::util

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -97,6 +98,32 @@ TEST(TopNAp, ZeroNIsZero) {
   const std::vector<double> scores = {1.0};
   const std::vector<std::uint8_t> labels = {1};
   EXPECT_EQ(top_n_average_precision(scores, labels, 0), 0.0);
+}
+
+// Distinct stump levels whose branch scores sum to equal doubles (here
+// 0.5 + 0.25 and 0.25 + 0.5, and +0.0 vs -0.0) tie across buckets; the
+// level-bucket AP(N) must rank them exactly as rank_by_score does.
+TEST(TopNAp, LevelBucketsMatchSortedRanking) {
+  const std::vector<double> level_scores = {
+      0.5 + 0.25, -0.125, 0.25 + 0.5, 0.0, -0.0, 1.5, -0.125 + 0.0};
+  util::Rng rng(17);
+  std::vector<std::uint32_t> level_of_row(400);
+  std::vector<std::uint8_t> labels(level_of_row.size());
+  std::vector<double> scores(level_of_row.size());
+  for (std::size_t r = 0; r < level_of_row.size(); ++r) {
+    level_of_row[r] =
+        static_cast<std::uint32_t>(rng.uniform() * level_scores.size());
+    labels[r] = rng.bernoulli(0.3) ? 1 : 0;
+    scores[r] = level_scores[level_of_row[r]];
+  }
+  for (const std::size_t n : {0, 1, 7, 60, 399, 400, 1000}) {
+    SCOPED_TRACE(n);
+    const double want = top_n_average_precision(scores, labels, n);
+    const double got =
+        top_n_average_precision_levels(level_of_row, level_scores, labels, n);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want));
+  }
 }
 
 TEST(AveragePrecision, HandComputed) {

@@ -342,6 +342,38 @@ TEST(StreamTraining, PredictorKernelMatchesTrain) {
   }
 }
 
+// A plan hands its stage-1 scores to train_from_block only for the
+// base matrix it scored: a full block of other data is re-scored, so
+// the kernel equals the one a predictor planned on that data trains.
+TEST(StreamTraining, StalePlanScoresAreNotReused) {
+  core::PredictorConfig pc;
+  pc.boost_iterations = 30;
+  pc.top_n = 25;
+  const features::TicketLabeler labeler{pc.horizon_days};
+  features::EncoderConfig base_cfg = pc.encoder;
+  base_cfg.include_quadratic = false;
+  base_cfg.product_pairs.clear();
+  const dslsim::SimDataset a = dslsim::Simulator(small_config(900, 23)).run();
+  const dslsim::SimDataset b = dslsim::Simulator(small_config(900, 24)).run();
+
+  core::TicketPredictor planned(pc);
+  const features::EncoderConfig full_cfg = planned.plan_full_encoder(
+      features::encode_weeks(b, kTrainFrom, kTrainTo, base_cfg, labeler));
+  const features::EncodedBlock full_b =
+      features::encode_weeks(b, kTrainFrom, kTrainTo, full_cfg, labeler);
+  planned.train_from_block(full_b, full_cfg);
+  std::ostringstream want;
+  planned.kernel().save(want);
+
+  core::TicketPredictor stale(pc);
+  (void)stale.plan_full_encoder(
+      features::encode_weeks(a, kTrainFrom, kTrainTo, base_cfg, labeler));
+  stale.train_from_block(full_b, full_cfg);
+  std::ostringstream got;
+  stale.kernel().save(got);
+  EXPECT_EQ(got.str(), want.str());
+}
+
 TEST(StreamTraining, LocatorMatchesTrain) {
   const dslsim::SimConfig cfg = small_config(900, 23);
   const dslsim::Simulator sim(cfg);

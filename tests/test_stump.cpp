@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -52,6 +54,30 @@ TEST(FindBestStump, SeparableContinuous) {
   EXPECT_GT(result.stump.score_pass, 0.0);
   EXPECT_LT(result.stump.score_fail, 0.0);
   EXPECT_LT(result.z, 0.2);  // nearly perfect split -> Z near 0
+}
+
+// The stored threshold must split the data where the scan did: the
+// float midpoint of adjacent values rounds back to the lower one, and of
+// +-FLT_MAX overflows to inf. Either would move rows across the split.
+TEST(FindBestStump, DegenerateMidpointsKeepTheScannedSplit) {
+  const float lo_values[] = {1.0F, -FLT_MAX};
+  const float hi_values[] = {std::nextafter(1.0F, 2.0F), FLT_MAX};
+  for (int k = 0; k < 2; ++k) {
+    const float lo = lo_values[k];
+    const float hi = hi_values[k];
+    FeatureArena d({{"x", false}});
+    for (int i = 0; i < 40; ++i) {
+      const float x = i < 20 ? lo : hi;
+      d.add_row({&x, 1}, i >= 20);
+    }
+    const SortedColumns sorted(d);
+    const auto result =
+        find_best_stump(d, sorted, uniform_weights(d.n_rows()), 0.01);
+    EXPECT_GT(result.stump.threshold, lo);
+    EXPECT_LE(result.stump.threshold, hi);
+    EXPECT_EQ(result.stump.evaluate(lo), result.stump.score_fail);
+    EXPECT_EQ(result.stump.evaluate(hi), result.stump.score_pass);
+  }
 }
 
 TEST(FindBestStump, SeparableInverted) {
