@@ -427,13 +427,15 @@ BStumpModel SingleFeatureBooster::train(const DatasetView& data,
                               : WeightPair{0.0, weight[c]};
     }
     WeightPair total;
-    for (std::size_t i = 0; i < n; ++i) {
+    const auto add_row_total = [&](std::size_t i) {
       const WeightPair& p = parts[s.code[i]];
       total.pos += p.pos;
       total.neg += p.neg;
-    }
+    };
 
-    // Sorted-order run sums.
+    // Sorted-order run sums. The row-order totals advance one row per
+    // sorted position (m <= n) in the same loop: two independent add
+    // chains overlap, and each keeps its own order.
     WeightPair present;
     WeightPair own;
     std::size_t g = static_cast<std::size_t>(-1);
@@ -441,6 +443,7 @@ BStumpModel SingleFeatureBooster::train(const DatasetView& data,
       const WeightPair& neg = parts[2 * iv.cls];
       const WeightPair& pos = parts[2 * iv.cls + 1];
       for (std::uint32_t k = iv.begin; k < iv.end; ++k) {
+        add_row_total(k);
         const WeightPair& p = s.sorted_labels[k] != 0 ? pos : neg;
         present.pos += p.pos;
         present.neg += p.neg;
@@ -457,6 +460,7 @@ BStumpModel SingleFeatureBooster::train(const DatasetView& data,
         }
       }
     }
+    for (std::size_t i = m; i < n; ++i) add_row_total(i);
 
     const WeightPair missing = total - present;
     const SingleFeatureChoice choice = best_single_feature_split(
