@@ -9,10 +9,7 @@
 #include <new>
 #include <vector>
 
-#if __has_include(<sys/mman.h>)
 #include <sys/mman.h>
-#define NEVERMIND_HAVE_MMAP 1
-#endif
 
 namespace nevermind::ml {
 
@@ -61,21 +58,14 @@ struct PageAlloc {
   PageAlloc(const PageAlloc<U>&) noexcept {}  // NOLINT
 
   [[nodiscard]] T* allocate(std::size_t n) {
-#if defined(NEVERMIND_HAVE_MMAP)
+    if (n == 0) return nullptr;
     void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) throw std::bad_alloc();
     return static_cast<T*>(p);
-#else
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-#endif
   }
   void deallocate(T* p, std::size_t n) noexcept {
-#if defined(NEVERMIND_HAVE_MMAP)
-    ::munmap(p, n * sizeof(T));
-#else
-    ::operator delete(p, n * sizeof(T));
-#endif
+    if (p != nullptr) ::munmap(p, n * sizeof(T));
   }
 
   template <typename U>
