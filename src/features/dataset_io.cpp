@@ -87,7 +87,8 @@ ml::StoreStatus write_predictor(const std::string& path,
                                 const dslsim::SimDataset& tables,
                                 int emit_from, int emit_to,
                                 const EncoderConfig& config,
-                                const TicketLabeler& labeler, Feed&& feed) {
+                                const TicketLabeler& labeler,
+                                const exec::ExecContext& exec, Feed&& feed) {
   const std::size_t n_rows = count_week_rows(tables, emit_from, emit_to);
   ml::ArenaStreamWriter writer(path, all_columns(config), n_rows);
   std::vector<std::uint32_t> line_of_row;
@@ -100,7 +101,8 @@ ml::StoreStatus write_predictor(const std::string& path,
                         writer.append(row, label);
                         line_of_row.push_back(static_cast<std::uint32_t>(u));
                         week_of_row.push_back(static_cast<std::uint32_t>(w));
-                      });
+                      },
+                      exec);
   feed(encoder, encoder.emit_to());
   writer.add_aux("line", line_of_row);
   writer.add_aux("week", week_of_row);
@@ -114,7 +116,7 @@ template <typename Feed>
 ml::StoreStatus write_locator(const std::string& path,
                               const dslsim::SimDataset& tables, int week_from,
                               int week_to, const EncoderConfig& config,
-                              Feed&& feed) {
+                              const exec::ExecContext& exec, Feed&& feed) {
   const std::size_t n_rows = count_dispatch_rows(tables, week_from, week_to);
   ml::ArenaStreamWriter writer(path, all_columns(config), n_rows);
   std::vector<std::uint32_t> note_of_row;
@@ -124,7 +126,8 @@ ml::StoreStatus write_locator(const std::string& path,
                               std::uint32_t note_idx) {
                             writer.append(row, false);
                             note_of_row.push_back(note_idx);
-                          });
+                          },
+                          exec);
   feed(encoder, encoder.week_to());
   writer.add_aux("note", note_of_row);
   writer.set_meta(make_meta(kLocatorKind, config));
@@ -147,7 +150,7 @@ ml::StoreStatus save_predictor_dataset(const std::string& path,
                                        const EncoderConfig& config,
                                        const TicketLabeler& labeler) {
   return write_predictor(path, data, emit_from, emit_to, config, labeler,
-                         materialized_feed(data));
+                         exec::ExecContext::serial(), materialized_feed(data));
 }
 
 ml::StoreStatus stream_save_predictor_dataset(
@@ -156,7 +159,7 @@ ml::StoreStatus stream_save_predictor_dataset(
     int emit_from, int emit_to, const EncoderConfig& config,
     const TicketLabeler& labeler, const StreamPipelineOptions& options) {
   return write_predictor(path, tables, emit_from, emit_to, config, labeler,
-                         streamed_feed(sim, tables, exec, options));
+                         exec, streamed_feed(sim, tables, exec, options));
 }
 
 ml::StoreStatus save_locator_dataset(const std::string& path,
@@ -167,7 +170,7 @@ ml::StoreStatus save_locator_dataset(const std::string& path,
                                      const ml::BinningConfig& binning) {
   if (!with_bins) {
     return write_locator(path, data, week_from, week_to, config,
-                         materialized_feed(data));
+                         exec::ExecContext::serial(), materialized_feed(data));
   }
   // Quantization needs the whole matrix, which the streaming writer
   // never materializes — encode in memory and bulk-save (locator
@@ -186,7 +189,7 @@ ml::StoreStatus stream_save_locator_dataset(
     const dslsim::SimDataset& tables, const exec::ExecContext& exec,
     int week_from, int week_to, const EncoderConfig& config,
     const StreamPipelineOptions& options) {
-  return write_locator(path, tables, week_from, week_to, config,
+  return write_locator(path, tables, week_from, week_to, config, exec,
                        streamed_feed(sim, tables, exec, options));
 }
 

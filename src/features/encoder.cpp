@@ -193,18 +193,34 @@ void encode_window_row(const LineWindow& state, const MetricVector& current,
   }
 }
 
+namespace {
+
+/// Folds one week's measurements into every line's window. Lines are
+/// independent, so chunks of lines advance in parallel.
+void advance_windows(const exec::ExecContext& exec,
+                     std::vector<LineWindow>& states,
+                     std::span<const MetricVector> measurements) {
+  exec.parallel_for(0, states.size(), 0, [&](std::size_t b, std::size_t e) {
+    for (std::size_t u = b; u < e; ++u) states[u].update(measurements[u]);
+  });
+}
+
+}  // namespace
+
 WeekEncoder::WeekEncoder(const dslsim::SimDataset& data, int emit_from,
                          int emit_to, const EncoderConfig& config,
-                         const TicketLabeler& labeler, RowSink sink)
+                         const TicketLabeler& labeler, RowSink sink,
+                         const exec::ExecContext& exec)
     : data_(data),
       config_(config),
       labeler_(labeler),
       sink_(std::move(sink)),
+      exec_(exec),
       emit_from_(std::max(emit_from, 0)),
       emit_to_(std::min(emit_to, data.n_weeks() - 1)),
       n_base_(base_columns(config).size()),
-      states_(data.n_lines()),
-      row_(all_columns(config).size()) {}
+      n_cols_(all_columns(config).size()),
+      states_(data.n_lines()) {}
 
 void WeekEncoder::on_week(int week,
                           std::span<const dslsim::MetricVector> measurements) {
@@ -219,21 +235,38 @@ void WeekEncoder::on_week(int week,
                                 " lines, dataset has " +
                                 std::to_string(states_.size()));
   }
-  const util::Day day = util::saturday_of_week(week);
-  const bool emitting = week >= emit_from_ && week <= emit_to_;
-  const auto n_lines = static_cast<dslsim::LineId>(states_.size());
-  for (dslsim::LineId u = 0; u < n_lines; ++u) {
-    const MetricVector& current = measurements[u];
-    if (emitting) {
-      encode_window_row(states_[u], current,
-                        dslsim::profile(data_.plant(u).profile),
-                        data_.last_edge_ticket_at_or_before(u, day), day,
-                        config_, n_base_, row_);
-      sink_(std::span<const float>(row_), labeler_(data_, u, day), u, week);
-      ++rows_;
-    }
-    states_[u].update(current);
+  if (week < emit_from_ || week > emit_to_) {
+    advance_windows(exec_, states_, measurements);
+    ++next_week_;
+    return;
   }
+  const util::Day day = util::saturday_of_week(week);
+  const std::size_t n_lines = states_.size();
+  if (tile_.empty()) {
+    const std::size_t tile_rows = std::min(n_lines, kTileRows);
+    tile_.resize(tile_rows * n_cols_);
+    tile_labels_.resize(tile_rows);
+  }
+  for (std::size_t t0 = 0; t0 < n_lines; t0 += kTileRows) {
+    const std::size_t t1 = std::min(t0 + kTileRows, n_lines);
+    exec_.parallel_for(t0, t1, 0, [&](std::size_t b, std::size_t e) {
+      for (std::size_t u = b; u < e; ++u) {
+        const auto line = static_cast<dslsim::LineId>(u);
+        encode_window_row(states_[u], measurements[u],
+                          dslsim::profile(data_.plant(line).profile),
+                          data_.last_edge_ticket_at_or_before(line, day), day,
+                          config_, n_base_,
+                          {tile_.data() + (u - t0) * n_cols_, n_cols_});
+        tile_labels_[u - t0] = labeler_(data_, line, day) ? 1 : 0;
+        states_[u].update(measurements[u]);
+      }
+    });
+    for (std::size_t u = t0; u < t1; ++u) {
+      sink_({tile_.data() + (u - t0) * n_cols_, n_cols_},
+            tile_labels_[u - t0] != 0, static_cast<dslsim::LineId>(u), week);
+    }
+  }
+  rows_ += n_lines;
   ++next_week_;
 }
 
@@ -290,10 +323,11 @@ std::vector<std::vector<std::uint32_t>> group_notes_by_week(
 
 DispatchEncoder::DispatchEncoder(const dslsim::SimDataset& data, int week_from,
                                  int week_to, const EncoderConfig& config,
-                                 RowSink sink)
+                                 RowSink sink, const exec::ExecContext& exec)
     : data_(data),
       config_(config),
       sink_(std::move(sink)),
+      exec_(exec),
       week_to_(std::min(week_to, data.n_weeks() - 1)),
       n_base_(base_columns(config).size()),
       notes_by_week_(group_notes_by_week(data, week_from, week_to)),
@@ -327,10 +361,7 @@ void DispatchEncoder::on_week(
       ++rows_;
     }
   }
-  const auto n_lines = static_cast<dslsim::LineId>(states_.size());
-  for (dslsim::LineId u = 0; u < n_lines; ++u) {
-    states_[u].update(measurements[u]);
-  }
+  advance_windows(exec_, states_, measurements);
   ++next_week_;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "dslsim/simulator.hpp"
+#include "exec/exec.hpp"
 #include "ml/dataset.hpp"
 #include "ml/feature_store.hpp"
 #include "util/stats.hpp"
@@ -135,16 +136,28 @@ struct TicketLabeler {
 /// the ONE walker: encode_weeks and the predictor dataset writer drive
 /// it over a materialized dataset, the streaming pipeline drives it from
 /// Simulator::stream_weeks chunks, so the paths cannot drift.
-/// Resident state is one LineWindow per line plus one row buffer —
+///
+/// A week is encoded in tiles of lines on `exec`: each line's row and
+/// label are computed into a row-major tile, and its window advanced,
+/// by one parallel chunk (lines are independent); the tile's rows then
+/// go to the sink on the calling thread in line order. Every value
+/// comes from the same code and rows keep their (week, line) order, so
+/// the output is byte-identical at any thread count. Resident state is
+/// one LineWindow per line plus one tile of rows (at most kTileRows) —
 /// independent of the number of weeks streamed.
 class WeekEncoder {
  public:
   using RowSink = std::function<void(std::span<const float> row, bool label,
                                      dslsim::LineId line, int week)>;
 
+  /// Lines encoded per tile: 4096 rows of the 540-column full layout
+  /// are 8.8 MB of scratch.
+  static constexpr std::size_t kTileRows = 4096;
+
   WeekEncoder(const dslsim::SimDataset& data, int emit_from, int emit_to,
               const EncoderConfig& config, const TicketLabeler& labeler,
-              RowSink sink);
+              RowSink sink,
+              const exec::ExecContext& exec = exec::ExecContext::serial());
 
   /// Consume week `week`'s measurements (one MetricVector per line);
   /// `week` must equal next_week(). Weeks past emit_to() still advance
@@ -162,12 +175,15 @@ class WeekEncoder {
   EncoderConfig config_;
   TicketLabeler labeler_;
   RowSink sink_;
+  exec::ExecContext exec_;
   int emit_from_;
   int emit_to_;
   int next_week_ = 0;
   std::size_t n_base_;
+  std::size_t n_cols_;
   std::vector<LineWindow> states_;
-  std::vector<float> row_;
+  std::vector<float> tile_;  // row-major, n_cols_ floats per line
+  std::vector<std::uint8_t> tile_labels_;
   std::size_t rows_ = 0;
 };
 
@@ -200,14 +216,16 @@ struct LocatorBlock {
 /// saw). Notes are grouped from the tables up front, so `data` may be
 /// tables-only. Like WeekEncoder, this is the one walker behind
 /// encode_at_dispatch and the locator dataset writer, materialized or
-/// streamed.
+/// streamed. The week's rows are few and go out serially; the sweep
+/// that folds the week into every line's window runs on `exec`.
 class DispatchEncoder {
  public:
   using RowSink =
       std::function<void(std::span<const float> row, std::uint32_t note_idx)>;
 
   DispatchEncoder(const dslsim::SimDataset& data, int week_from, int week_to,
-                  const EncoderConfig& config, RowSink sink);
+                  const EncoderConfig& config, RowSink sink,
+                  const exec::ExecContext& exec = exec::ExecContext::serial());
 
   void on_week(int week, std::span<const dslsim::MetricVector> measurements);
 
@@ -219,6 +237,7 @@ class DispatchEncoder {
   const dslsim::SimDataset& data_;
   EncoderConfig config_;
   RowSink sink_;
+  exec::ExecContext exec_;
   int week_to_;
   int next_week_ = 0;
   std::size_t n_base_;

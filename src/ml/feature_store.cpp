@@ -36,17 +36,20 @@ constexpr std::uint32_t kEndianTag = 0x01020304;
 constexpr std::uint64_t kPayloadOffset = 128;  // preamble 16 + header 112
 constexpr std::uint64_t kHeaderChecksumSpan = 120;  // bytes hashed into it
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+using detail::fnv1a;
+using detail::kFnvOffset;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t hash = kFnvOffset) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= p[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
+/// Chunk column stride, in floats: chunk_rows rounded up to an odd
+/// number of 64-byte cache lines. At a power-of-two stride (the default
+/// 4096 floats is 16 KiB) one row's slots in every column map onto the
+/// same few cache sets, and append()'s scatter across all columns
+/// evicts itself row after row; an odd line count spreads them.
+std::size_t padded_stride(std::size_t chunk_rows) {
+  constexpr std::size_t kLineFloats = 64 / sizeof(float);
+  std::size_t lines = (chunk_rows + kLineFloats - 1) / kLineFloats;
+  if (lines % 2 == 0) ++lines;
+  return lines * kLineFloats;
 }
 
 /// Fixed header fields (bytes [16, 128) of the file). Section order is
@@ -257,6 +260,24 @@ void fail(StoreStatus* status, StoreError code, std::string message) {
   }
 }
 
+/// Checks every column's payload checksum against the meta section;
+/// on a mismatch fills `status` naming the first bad column.
+bool payload_verifies(const float* payload, std::uint64_t n_rows,
+                      const MetaSection& meta, const std::string& path,
+                      StoreStatus* status) {
+  std::vector<std::uint64_t> got(meta.col_hash.size(), kFnvOffset);
+  detail::fnv1a_columns(payload, n_rows * sizeof(float),
+                        n_rows * sizeof(float), got);
+  const auto bad =
+      std::mismatch(got.begin(), got.end(), meta.col_hash.begin()).first;
+  if (bad == got.end()) return true;
+  const auto j = static_cast<std::size_t>(bad - got.begin());
+  fail(status, StoreError::kChecksumMismatch,
+       "payload checksum mismatch in column " + std::to_string(j) + " ('" +
+           meta.columns[j].name + "') of " + path);
+  return false;
+}
+
 struct Fd {
   int fd = -1;
   ~Fd() {
@@ -288,6 +309,48 @@ bool pread_all(int fd, void* dst, std::size_t n, std::uint64_t offset) {
 
 }  // namespace
 
+namespace detail {
+
+std::uint64_t fnv1a(const void* data, std::size_t n,
+                    std::uint64_t hash) noexcept {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    hash ^= p[i];
+    hash *= kFnvPrime;
+  }
+  return hash;
+}
+
+void fnv1a_columns(const void* base, std::size_t stride, std::size_t len,
+                   std::span<std::uint64_t> hashes) noexcept {
+  const auto* p = static_cast<const unsigned char*>(base);
+  const std::size_t n_cols = hashes.size();
+  std::size_t j = 0;
+  for (; j + 4 <= n_cols; j += 4) {
+    const unsigned char* c0 = p + j * stride;
+    const unsigned char* c1 = c0 + stride;
+    const unsigned char* c2 = c1 + stride;
+    const unsigned char* c3 = c2 + stride;
+    std::uint64_t h0 = hashes[j];
+    std::uint64_t h1 = hashes[j + 1];
+    std::uint64_t h2 = hashes[j + 2];
+    std::uint64_t h3 = hashes[j + 3];
+    for (std::size_t i = 0; i < len; ++i) {
+      h0 = (h0 ^ c0[i]) * kFnvPrime;
+      h1 = (h1 ^ c1[i]) * kFnvPrime;
+      h2 = (h2 ^ c2[i]) * kFnvPrime;
+      h3 = (h3 ^ c3[i]) * kFnvPrime;
+    }
+    hashes[j] = h0;
+    hashes[j + 1] = h1;
+    hashes[j + 2] = h2;
+    hashes[j + 3] = h3;
+  }
+  for (; j < n_cols; ++j) hashes[j] = fnv1a(p + j * stride, len, hashes[j]);
+}
+
+}  // namespace detail
+
 const char* store_error_name(StoreError e) noexcept {
   switch (e) {
     case StoreError::kOk: return "ok";
@@ -317,7 +380,8 @@ ArenaStreamWriter::ArenaStreamWriter(std::string path,
     : path_(std::move(path)),
       columns_(std::move(columns)),
       n_rows_(n_rows),
-      chunk_rows_(std::max<std::size_t>(chunk_rows, 1)) {
+      chunk_rows_(std::max<std::size_t>(chunk_rows, 1)),
+      stride_(padded_stride(chunk_rows_)) {
   if (n_rows_ > (std::uint64_t{1} << 40) ||
       columns_.size() > (std::uint64_t{1} << 24)) {
     throw std::invalid_argument("ArenaStreamWriter: implausible dimensions");
@@ -327,7 +391,7 @@ ArenaStreamWriter::ArenaStreamWriter(std::string path,
       throw std::invalid_argument("ArenaStreamWriter: column name too long");
     }
   }
-  chunk_.resize(columns_.size() * chunk_rows_);
+  chunk_.resize(columns_.size() * stride_);
   labels_.reserve(n_rows_);
   col_hash_.assign(columns_.size(), kFnvOffset);
   std::FILE* f = std::fopen(path_.c_str(), "wb");
@@ -359,7 +423,7 @@ void ArenaStreamWriter::append(std::span<const float> features,
         "ArenaStreamWriter::append: more rows than declared");
   }
   for (std::size_t j = 0; j < features.size(); ++j) {
-    chunk_[j * chunk_rows_ + chunk_fill_] = features[j];
+    chunk_[j * stride_ + chunk_fill_] = features[j];
   }
   labels_.push_back(positive ? 1 : 0);
   ++appended_;
@@ -376,11 +440,12 @@ void ArenaStreamWriter::flush_chunk() {
     const std::uint64_t offset =
         kPayloadOffset +
         (static_cast<std::uint64_t>(j) * n_rows_ + flushed_) * sizeof(float);
-    const float* src = chunk_.data() + j * chunk_rows_;
+    const float* src = chunk_.data() + j * stride_;
     io_failed_ = ::fseeko(f, static_cast<::off_t>(offset), SEEK_SET) != 0 ||
                  std::fwrite(src, sizeof(float), chunk_fill_, f) != chunk_fill_;
-    col_hash_[j] = fnv1a(src, chunk_fill_ * sizeof(float), col_hash_[j]);
   }
+  detail::fnv1a_columns(chunk_.data(), stride_ * sizeof(float),
+                        chunk_fill_ * sizeof(float), col_hash_);
   flushed_ += chunk_fill_;
   chunk_fill_ = 0;
 }
@@ -714,14 +779,8 @@ std::optional<StoredArena> load_arena(const std::string& path,
       fail(status, StoreError::kIoError, "cannot read payload of " + path);
       return std::nullopt;
     }
-    for (std::uint64_t j = 0; j < n_cols; ++j) {
-      if (fnv1a(payload.data() + j * n_rows, n_rows * sizeof(float)) !=
-          meta->col_hash[j]) {
-        fail(status, StoreError::kChecksumMismatch,
-             "payload checksum mismatch in column " + std::to_string(j) +
-                 " ('" + meta->columns[j].name + "') of " + path);
-        return std::nullopt;
-      }
+    if (!payload_verifies(payload.data(), n_rows, *meta, path, status)) {
+      return std::nullopt;
     }
     out.arena = FeatureArena(std::move(meta->columns), n_rows,
                              std::move(payload), std::move(labels));
@@ -745,16 +804,9 @@ std::optional<StoredArena> load_arena(const std::string& path,
     }
     const auto* payload =
         reinterpret_cast<const float*>(base + kPayloadOffset);
-    if (options.verify_payload) {
-      for (std::uint64_t j = 0; j < n_cols; ++j) {
-        if (fnv1a(payload + j * n_rows, n_rows * sizeof(float)) !=
-            meta->col_hash[j]) {
-          fail(status, StoreError::kChecksumMismatch,
-               "payload checksum mismatch in column " + std::to_string(j) +
-                   " ('" + meta->columns[j].name + "') of " + path);
-          return std::nullopt;
-        }
-      }
+    if (options.verify_payload &&
+        !payload_verifies(payload, n_rows, *meta, path, status)) {
+      return std::nullopt;
     }
     out.arena = FeatureArena::map_external(std::move(meta->columns), n_rows,
                                            payload, labels,

@@ -32,7 +32,10 @@
 // hosts at compile time and the reader refuses foreign files at run
 // time (kBadEndian). Checksums are 64-bit FNV-1a, per section, with
 // payload integrity tracked per column so the streaming writer can
-// accumulate them chunk by chunk.
+// accumulate them chunk by chunk. Column checksums are computed four
+// columns at a time as independent chains (detail::fnv1a_columns): each
+// column's hash is still the byte-serial FNV-1a of its bytes, but the
+// four multiply chains overlap instead of each byte waiting on the last.
 //
 // Three access paths, byte-identical by construction:
 //   * ArenaStreamWriter — the encoder appends rows chunk-wise; only one
@@ -147,12 +150,13 @@ class ArenaStreamWriter {
   std::vector<ColumnInfo> columns_;
   std::size_t n_rows_ = 0;
   std::size_t chunk_rows_ = 0;
+  std::size_t stride_ = 0;  // chunk column stride in floats (padded)
   std::size_t appended_ = 0;
   std::size_t flushed_ = 0;
   std::size_t chunk_fill_ = 0;
   bool finished_ = false;
   bool io_failed_ = false;
-  std::vector<float> chunk_;            // column-major, stride chunk_rows_
+  std::vector<float> chunk_;            // column-major, stride stride_
   std::vector<std::uint8_t> labels_;    // buffered whole (1 byte/row)
   std::vector<std::uint64_t> col_hash_;  // running FNV-1a per column
   std::vector<std::string> aux_names_;
@@ -162,6 +166,23 @@ class ArenaStreamWriter {
   bool has_bins_ = false;
   void* file_ = nullptr;  // std::FILE*, opaque to keep <cstdio> out
 };
+
+namespace detail {
+
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+
+/// Byte-serial 64-bit FNV-1a of `n` bytes, continuing from `hash`.
+[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t n,
+                                  std::uint64_t hash = kFnvOffset) noexcept;
+
+/// Continues the FNV-1a hash of `hashes.size()` equal-length columns:
+/// column j is the `len` bytes at `base + j * stride` and its running
+/// hash is hashes[j]. The result equals fnv1a(column j, len, hashes[j])
+/// for every j; columns are hashed four per pass as independent chains.
+void fnv1a_columns(const void* base, std::size_t stride, std::size_t len,
+                   std::span<std::uint64_t> hashes) noexcept;
+
+}  // namespace detail
 
 enum class ArenaLoadMode : std::uint8_t { kEager = 0, kMapped };
 

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
+#include <vector>
+
+#include "dslsim/profile.hpp"
 
 namespace nevermind::features {
 namespace {
@@ -272,6 +277,66 @@ TEST_F(EncoderTest, DispatchRowsMatchSaturdayMeasurement) {
     } else {
       EXPECT_EQ(got, m[1]);
     }
+  }
+}
+
+// WeekEncoder encodes a week in tiles of lines on the pool. The
+// reference walks one line at a time with its own windows, encoding
+// then folding each measurement. On a population wider than one tile,
+// under the full derived layout, rows, labels and their (week, line)
+// order must match it byte for byte at 1 and 8 threads.
+TEST(WeekEncoderTiles, TiledEncodeMatchesPerLineWalk) {
+  SimConfig sim_cfg;
+  sim_cfg.seed = 19;
+  sim_cfg.topology.n_lines =
+      static_cast<std::uint32_t>(WeekEncoder::kTileRows) + 404;
+  const SimDataset data = Simulator(sim_cfg).run();
+  EncoderConfig cfg;
+  cfg.include_quadratic = true;
+  cfg.product_pairs = {{0, 1}, {3, 30}, {80, 7}};
+  const TicketLabeler labeler{28};
+  constexpr int kFrom = 20;
+  constexpr int kTo = 21;
+  const std::size_t n_base = base_columns(cfg).size();
+  const std::size_t n_cols = all_columns(cfg).size();
+
+  using Key = std::tuple<dslsim::LineId, int, bool>;
+  std::vector<float> want;
+  std::vector<Key> want_keys;
+  std::vector<LineWindow> windows(data.n_lines());
+  std::vector<float> row(n_cols);
+  for (int w = 0; w <= kTo; ++w) {
+    const util::Day day = util::saturday_of_week(w);
+    const auto week = data.week_measurements(w);
+    for (dslsim::LineId u = 0; u < data.n_lines(); ++u) {
+      if (w >= kFrom) {
+        encode_window_row(windows[u], week[u],
+                          dslsim::profile(data.plant(u).profile),
+                          data.last_edge_ticket_at_or_before(u, day), day, cfg,
+                          n_base, row);
+        want.insert(want.end(), row.begin(), row.end());
+        want_keys.emplace_back(u, w, labeler(data, u, day));
+      }
+      windows[u].update(week[u]);
+    }
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    std::vector<float> got;
+    std::vector<Key> got_keys;
+    WeekEncoder encoder(
+        data, kFrom, kTo, cfg, labeler,
+        [&](std::span<const float> r, bool label, dslsim::LineId u, int w) {
+          got.insert(got.end(), r.begin(), r.end());
+          got_keys.emplace_back(u, w, label);
+        },
+        exec::ExecContext(threads));
+    for (int w = 0; w <= kTo; ++w) encoder.on_week(w, data.week_measurements(w));
+    EXPECT_EQ(got_keys, want_keys) << threads << " thread(s)";
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << threads << " thread(s)";
   }
 }
 

@@ -221,6 +221,48 @@ TEST(FeatureStore, StreamingWriterMatchesBulkSaveByteForByte) {
   std::remove(stream_path.c_str());
 }
 
+TEST(FeatureStore, WideArenaRoundTripsAtEveryChunkSize) {
+  // Seven columns (one four-column checksum group plus a tail of three)
+  // and chunk sizes below, at and above a 64-byte stride step: every
+  // file is the same, and it loads back bit-exact and verified.
+  std::vector<ColumnInfo> columns;
+  for (int j = 0; j < 7; ++j) {
+    columns.push_back({"w" + std::to_string(j), j == 5});
+  }
+  FeatureArena arena(columns, 37);
+  std::vector<float> row(7);
+  for (int r = 0; r < 37; ++r) {
+    for (int j = 0; j < 7; ++j) {
+      row[j] = (r + j) % 5 == 0 ? kMissing : static_cast<float>(r) / (j + 1);
+    }
+    arena.add_row(row, r % 3 == 0);
+  }
+  std::string reference;
+  for (const std::size_t chunk_rows : {1U, 3U, 16U, 17U, 4096U}) {
+    const std::string path = temp_path("wide.nmarena");
+    ArenaStreamWriter writer(path, arena.columns(), arena.n_rows(),
+                             chunk_rows);
+    for (std::size_t r = 0; r < arena.n_rows(); ++r) {
+      for (std::size_t j = 0; j < arena.n_cols(); ++j) {
+        row[j] = arena.value(r, j);
+      }
+      writer.append(row, arena.label(r));
+    }
+    ASSERT_TRUE(writer.finish().ok());
+    std::ifstream is(path, std::ios::binary);
+    const std::string file(std::istreambuf_iterator<char>(is), {});
+    if (reference.empty()) reference = file;
+    EXPECT_EQ(file, reference) << "chunk_rows " << chunk_rows;
+    for (const auto mode : {ArenaLoadMode::kEager, ArenaLoadMode::kMapped}) {
+      StoreStatus st;
+      auto got = load_arena(path, {.mode = mode, .verify_payload = true}, &st);
+      ASSERT_TRUE(got.has_value()) << st.message;
+      expect_bit_identical(got->arena, arena);
+    }
+    std::remove(path.c_str());
+  }
+}
+
 TEST(FeatureStore, WriterMisuseThrowsAndShortfallIsTyped) {
   const std::string path = temp_path("misuse.nmarena");
   {
@@ -285,6 +327,65 @@ std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
     hash *= 1099511628211ULL;
   }
   return hash;
+}
+
+// The multi-chain column hasher behind the writer's and both loaders'
+// payload checksums equals byte-serial FNV-1a column by column: column
+// counts around the four-chain width, lengths around a writer chunk,
+// the format's offset basis and a non-zero seed hash.
+TEST(FeatureStoreChecksum, MultiChainColumnsMatchByteSerial) {
+  const unsigned char probe[] = {'n', 'm', 0, 255, 7};
+  EXPECT_EQ(detail::fnv1a(probe, sizeof(probe)), fnv1a(probe, sizeof(probe)));
+  for (const std::size_t n_cols : {1U, 3U, 4U, 5U, 541U}) {
+    for (const std::size_t len : {0U, 1U, 7U, 4099U}) {
+      // Columns are not adjacent: the stride leaves a gap after each.
+      const std::size_t stride = len + 13;
+      std::vector<unsigned char> bytes(n_cols * stride);
+      std::uint64_t x = 0x243F6A8885A308D3ULL + n_cols * 31 + len;
+      for (unsigned char& b : bytes) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        b = static_cast<unsigned char>(x >> 56);
+      }
+      for (const std::uint64_t seed :
+           {detail::kFnvOffset, std::uint64_t{0x9E3779B97F4A7C15ULL}}) {
+        std::vector<std::uint64_t> hashes(n_cols);
+        for (std::size_t j = 0; j < n_cols; ++j) hashes[j] = seed + j;
+        detail::fnv1a_columns(bytes.data(), stride, len, hashes);
+        for (std::size_t j = 0; j < n_cols; ++j) {
+          ASSERT_EQ(hashes[j],
+                    detail::fnv1a(bytes.data() + j * stride, len, seed + j))
+              << n_cols << " columns, length " << len << ", column " << j;
+        }
+      }
+    }
+  }
+}
+
+// A damaged column inside a four-column chain group is the one the
+// error names, under both load modes.
+TEST(FeatureStoreChecksum, PayloadMismatchNamesTheDamagedColumn) {
+  std::vector<ColumnInfo> columns;
+  for (int j = 0; j < 6; ++j) columns.push_back({"c" + std::to_string(j), false});
+  FeatureArena arena(columns, 5);
+  for (int r = 0; r < 5; ++r) {
+    std::vector<float> row(6);
+    for (int j = 0; j < 6; ++j) row[j] = static_cast<float>(r * 10 + j);
+    arena.add_row(row, r % 2 == 0);
+  }
+  const std::string path = temp_path("damaged_column.nmarena");
+  ASSERT_TRUE(save_arena(path, arena).ok());
+  std::vector<unsigned char> bytes = slurp_bytes(path);
+  bytes[128 + (2 * 5 + 3) * sizeof(float)] ^= 0x40;  // column 2, row 3
+  dump_bytes(path, bytes);
+  for (const auto mode : {ArenaLoadMode::kEager, ArenaLoadMode::kMapped}) {
+    StoreStatus st;
+    EXPECT_FALSE(
+        load_arena(path, {.mode = mode, .verify_payload = true}, &st));
+    EXPECT_EQ(st.code, StoreError::kChecksumMismatch);
+    EXPECT_NE(st.message.find("column 2 ('c2')"), std::string::npos)
+        << st.message;
+  }
+  std::remove(path.c_str());
 }
 
 struct CorruptionCase {

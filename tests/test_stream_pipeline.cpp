@@ -223,6 +223,46 @@ TEST_F(StreamArtefactTest, PredictorArtefactByteIdentical) {
   }
 }
 
+TEST_F(StreamArtefactTest, FullLayoutPredictorArtefactByteIdentical) {
+  // The training layout: quadratic columns plus product pairs (167
+  // columns, not a multiple of the four-column checksum group), and a
+  // population wider than one encoder tile, so each emitted week spans
+  // two tiles and the artefact more than one writer chunk.
+  const std::uint32_t lines =
+      static_cast<std::uint32_t>(features::WeekEncoder::kTileRows) + 404;
+  const dslsim::Simulator sim(small_config(lines, 57));
+  const dslsim::SimDataset data = sim.run();
+  features::EncoderConfig cfg;
+  cfg.include_quadratic = true;
+  cfg.product_pairs = {{0, 1}, {3, 30}, {26, 52}, {80, 7}, {40, 41}};
+  ASSERT_EQ(features::all_columns(cfg).size(), 167U);
+  const features::TicketLabeler labeler{28};
+  const std::string mat_path = temp_path("pred_full_mat.nmarena");
+  ASSERT_TRUE(features::save_predictor_dataset(mat_path, data, kTrainFrom,
+                                               kTrainFrom + 1, cfg, labeler)
+                  .ok());
+  const std::string reference = slurp(mat_path);
+  std::filesystem::remove(mat_path);
+  ASSERT_FALSE(reference.empty());
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    const exec::ExecContext exec(threads);
+    const dslsim::SimDataset tables = sim.build_tables(exec);
+    for (const int window : {1, 3}) {
+      features::StreamPipelineOptions opts;
+      opts.window_weeks = window;
+      const std::string path = temp_path("pred_full_stream.nmarena");
+      ASSERT_TRUE(features::stream_save_predictor_dataset(
+                      path, sim, tables, exec, kTrainFrom, kTrainFrom + 1,
+                      cfg, labeler, opts)
+                      .ok());
+      EXPECT_EQ(slurp(path), reference)
+          << threads << " thread(s), window " << window;
+      std::filesystem::remove(path);
+    }
+  }
+}
+
 TEST_F(StreamArtefactTest, PredictorArtefactFinalWeekOfYear) {
   // Emit range butting against the last simulated week: the stream
   // ends exactly at the final chunk, with no trailing weeks to flush
