@@ -1,7 +1,7 @@
 // Scale benchmark of the streaming week pipeline: prices the
 // simulate→encode chain at 10K/100K/1M lines through the streamed path
 // (Simulator::build_tables + stream_save_predictor_dataset, whose
-// measurement residency is bounded by the rolling WeekWindowBuffer) and
+// measurement residency is the simulator's one reused week chunk) and
 // reports line throughput and phase-peak RSS (via memprobe.hpp) per
 // scale into BENCH_scale.json. At scales where it is tractable the
 // materialized path (run() + save_predictor_dataset) runs alongside for
@@ -31,8 +31,7 @@
 // flagged approximate.
 //
 // Usage: bench_scale [--scales N,N,...] [--lines N (identity scale)]
-//                    [--seed S] [--window-weeks W] [--rounds R]
-//                    [--out FILE]
+//                    [--seed S] [--rounds R] [--out FILE]
 #define NEVERMIND_MEMPROBE_IMPL
 #include "memprobe.hpp"
 
@@ -140,16 +139,14 @@ struct IdentityResult {
 std::optional<std::string> streamed_chain_kernel(
     const dslsim::Simulator& sim, const dslsim::SimDataset& tables,
     const exec::ExecContext& exec, std::uint32_t lines, std::size_t rounds,
-    int window_weeks, int train_from, int train_to) {
+    int train_from, int train_to) {
   core::TicketPredictor predictor(predictor_config(lines, rounds, exec));
   const features::TicketLabeler labeler{predictor.config().horizon_days};
-  features::StreamPipelineOptions opts;
-  opts.window_weeks = window_weeks;
 
   const std::string base_path = scratch_path("chain_base");
   ml::StoreStatus st = features::stream_save_predictor_dataset(
       base_path, sim, tables, exec, train_from, train_to, base_config(),
-      labeler, opts);
+      labeler);
   if (!st.ok()) {
     std::cerr << "identity: base pass failed: " << st.message << "\n";
     return std::nullopt;
@@ -169,7 +166,7 @@ std::optional<std::string> streamed_chain_kernel(
   const std::string full_path = scratch_path("chain_full");
   st = features::stream_save_predictor_dataset(full_path, sim, tables, exec,
                                                train_from, train_to, full_cfg,
-                                               labeler, opts);
+                                               labeler);
   if (!st.ok()) {
     std::cerr << "identity: full pass failed: " << st.message << "\n";
     return std::nullopt;
@@ -188,7 +185,7 @@ std::optional<std::string> streamed_chain_kernel(
 }
 
 IdentityResult run_identity(std::uint32_t lines, std::uint64_t seed,
-                            std::size_t rounds, int window_weeks,
+                            std::size_t rounds,
                             const bench::PaperSplits& splits) {
   IdentityResult res;
   res.lines = lines;
@@ -231,7 +228,6 @@ IdentityResult run_identity(std::uint32_t lines, std::uint64_t seed,
 
     std::uint64_t stream_hash = kFnvSeed;
     features::StreamPipelineOptions opts;
-    opts.window_weeks = window_weeks;
     opts.stream_through = cfg.n_weeks - 1;
     opts.tap = [&](const dslsim::WeekChunk& chunk) {
       stream_hash = hash_week(stream_hash, chunk.week, chunk.measurements);
@@ -263,8 +259,7 @@ IdentityResult run_identity(std::uint32_t lines, std::uint64_t seed,
     }
 
     const auto chain_kernel = streamed_chain_kernel(
-        sim, tables, exec, lines, rounds, window_weeks, splits.train_from,
-        splits.train_to);
+        sim, tables, exec, lines, rounds, splits.train_from, splits.train_to);
     if (!chain_kernel.has_value() || *chain_kernel != mat_kernel) {
       std::cerr << "identity FAILED: streamed-chain kernel differs from "
                    "train() at "
@@ -288,7 +283,6 @@ struct ScaleRun {
   double stream_lines_per_s = 0.0;
   double stream_line_weeks_per_s = 0.0;
   std::uint64_t stream_peak_rss_bytes = 0;
-  std::uint64_t window_budget_bytes = 0;
   std::uint64_t materialized_budget_bytes = 0;
   std::uint64_t artefact_file_bytes = 0;
   double materialized_s = 0.0;
@@ -297,7 +291,7 @@ struct ScaleRun {
   bool rss_bounded = true;
 };
 
-ScaleRun run_scale(std::uint32_t lines, std::uint64_t seed, int window_weeks,
+ScaleRun run_scale(std::uint32_t lines, std::uint64_t seed,
                    std::uint32_t materialize_max,
                    const bench::PaperSplits& splits) {
   ScaleRun run;
@@ -312,8 +306,6 @@ ScaleRun run_scale(std::uint32_t lines, std::uint64_t seed, int window_weeks,
   const int swept_weeks = splits.train_to + 1;  // history from week 0
   run.rows = static_cast<std::uint64_t>(lines) *
              static_cast<std::uint64_t>(emit_weeks);
-  run.window_budget_bytes = static_cast<std::uint64_t>(window_weeks) * lines *
-                            sizeof(dslsim::MetricVector);
   run.materialized_budget_bytes = static_cast<std::uint64_t>(cfg.n_weeks) *
                                   lines * sizeof(dslsim::MetricVector);
 
@@ -328,17 +320,14 @@ ScaleRun run_scale(std::uint32_t lines, std::uint64_t seed, int window_weeks,
   }
 
   std::cerr << "scale " << lines << ": streaming encode (weeks "
-            << splits.train_from << "-" << splits.train_to << ", window "
-            << window_weeks << ")...\n";
+            << splits.train_from << "-" << splits.train_to << ")...\n";
   const std::string path = scratch_path("scale");
   {
-    features::StreamPipelineOptions opts;
-    opts.window_weeks = window_weeks;
     const bench::memprobe::PhaseRssProbe probe;
     const auto start = Clock::now();
     const ml::StoreStatus st = features::stream_save_predictor_dataset(
         path, sim, *tables, exec, splits.train_from, splits.train_to,
-        base_config(), labeler, opts);
+        base_config(), labeler);
     run.stream_encode_s = seconds_since(start);
     const auto peak = probe.sample();
     run.stream_peak_rss_bytes = peak.bytes;
@@ -392,7 +381,6 @@ int main(int argc, char** argv) {
   std::uint32_t identity_lines = 10000;
   std::uint64_t seed = 42;
   std::size_t rounds = 60;
-  int window_weeks = 8;
   std::uint32_t materialize_max = 100000;
   std::string out_path = "BENCH_scale.json";
   for (int i = 1; i < argc; ++i) {
@@ -415,8 +403,6 @@ int main(int argc, char** argv) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (flag("--rounds")) {
       rounds = std::strtoul(argv[++i], nullptr, 10);
-    } else if (flag("--window-weeks")) {
-      window_weeks = static_cast<int>(std::strtoul(argv[++i], nullptr, 10));
     } else if (flag("--materialize-max")) {
       materialize_max =
           static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
@@ -424,28 +410,26 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     }
   }
-  if (scales.empty() || identity_lines == 0 || window_weeks < 1) {
-    std::cerr << "bench_scale: nothing to do (empty --scales, zero --lines "
-                 "or --window-weeks < 1)\n";
+  if (scales.empty() || identity_lines == 0) {
+    std::cerr << "bench_scale: nothing to do (empty --scales or zero "
+                 "--lines)\n";
     return 2;
   }
 
   const bench::PaperSplits splits;
   const IdentityResult identity =
-      run_identity(identity_lines, seed, rounds, window_weeks, splits);
+      run_identity(identity_lines, seed, rounds, splits);
 
   std::vector<ScaleRun> runs;
   runs.reserve(scales.size());
   for (const std::uint32_t lines : scales) {
-    runs.push_back(
-        run_scale(lines, seed, window_weeks, materialize_max, splits));
+    runs.push_back(run_scale(lines, seed, materialize_max, splits));
   }
 
   std::ostringstream json;
   json << "{\n"
        << "  \"bench\": \"scale\",\n"
        << "  \"seed\": " << seed << ",\n"
-       << "  \"window_weeks\": " << window_weeks << ",\n"
        << "  \"identity\": {\n"
        << "    \"lines\": " << identity.lines << ",\n"
        << "    \"rounds\": " << rounds << ",\n"
@@ -470,8 +454,6 @@ int main(int argc, char** argv) {
          << "      \"stream_line_weeks_per_s\": " << r.stream_line_weeks_per_s
          << ",\n"
          << "      \"stream_peak_rss_bytes\": " << r.stream_peak_rss_bytes
-         << ",\n"
-         << "      \"window_budget_bytes\": " << r.window_budget_bytes
          << ",\n"
          << "      \"materialized_budget_bytes\": "
          << r.materialized_budget_bytes << ",\n"

@@ -19,7 +19,8 @@ AtdsWeekReport run_proactive_week(const dslsim::SimDataset& data,
   // Feature rows for dispatch-time ranking: one encode of the week.
   const features::TicketLabeler labeler{horizon_days};
   const features::EncodedBlock block = features::encode_weeks(
-      data, week, week, locator.encoder_config(), labeler);
+      data, week, week, locator.encoder_config(), labeler,
+      locator.config().exec);
   // Map line -> row explicitly rather than assuming emission order.
   std::vector<std::size_t> row_of_line(data.n_lines(), 0);
   for (std::size_t r = 0; r < block.line_of_row.size(); ++r) {

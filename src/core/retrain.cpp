@@ -34,7 +34,8 @@ void RetrainOrchestrator::train_at(const dslsim::SimDataset& data,
   // columns over the training window.
   const features::TicketLabeler labeler{predictor_.config().horizon_days};
   const auto block = features::encode_weeks(
-      data, train_from, train_to, predictor_.full_encoder_config(), labeler);
+      data, train_from, train_to, predictor_.full_encoder_config(), labeler,
+      predictor_.config().exec);
   drift_.fit(
       ml::DatasetView(block.dataset).cols(predictor_.selected_features()));
 
@@ -75,7 +76,8 @@ RetrainDecision RetrainOrchestrator::observe_week(
   // This week's PSI against the (possibly fresh) reference.
   const features::TicketLabeler labeler{predictor_.config().horizon_days};
   const auto block = features::encode_weeks(
-      data, week, week, predictor_.full_encoder_config(), labeler);
+      data, week, week, predictor_.full_encoder_config(), labeler,
+      predictor_.config().exec);
   const auto current =
       ml::DatasetView(block.dataset).cols(predictor_.selected_features());
   for (double p : drift_.column_psi(current)) {

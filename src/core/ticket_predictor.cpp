@@ -166,7 +166,8 @@ void TicketPredictor::train(const dslsim::SimDataset& data, int train_from,
   base_cfg.product_pairs.clear();
 
   features::EncodedBlock base_block =
-      features::encode_weeks(data, train_from, train_to, base_cfg, labeler);
+      features::encode_weeks(data, train_from, train_to, base_cfg, labeler,
+                             config_.exec);
   const std::vector<double> base_scores =
       score_stage1(config_, base_block, ml::DatasetView(base_block.dataset),
                    train_from, train_to, n_val);
@@ -183,7 +184,7 @@ void TicketPredictor::train(const dslsim::SimDataset& data, int train_from,
     // One full encode shared by stage-2 derived scoring and the stage-3
     // final ensemble (formerly two identical encodes).
     const features::EncodedBlock full_block = features::encode_weeks(
-        data, train_from, train_to, kernel_.encoder, labeler);
+        data, train_from, train_to, kernel_.encoder, labeler, config_.exec);
     finish_train(full_block, base_scores, std::move(base_selected), train_from,
                  train_to, n_val);
   } else {
@@ -403,8 +404,8 @@ std::vector<double> TicketPredictor::score_block(
 std::vector<Prediction> TicketPredictor::predict_week(
     const dslsim::SimDataset& data, int week) const {
   const features::TicketLabeler labeler{config_.horizon_days};
-  const features::EncodedBlock block =
-      features::encode_weeks(data, week, week, kernel_.encoder, labeler);
+  const features::EncodedBlock block = features::encode_weeks(
+      data, week, week, kernel_.encoder, labeler, config_.exec);
   const std::vector<double> scores = score_block(block);
 
   std::vector<Prediction> out(scores.size());

@@ -28,7 +28,8 @@ TroubleLocator::TroubleLocator(LocatorConfig config)
 void TroubleLocator::train(const dslsim::SimDataset& data, int week_from,
                            int week_to) {
   const features::LocatorBlock block =
-      features::encode_at_dispatch(data, week_from, week_to, config_.encoder);
+      features::encode_at_dispatch(data, week_from, week_to, config_.encoder,
+                                   config_.exec);
   train_from_block(data, block);
 }
 

@@ -110,6 +110,7 @@ class TroubleLocator {
   [[nodiscard]] const features::EncoderConfig& encoder_config() const {
     return config_.encoder;
   }
+  [[nodiscard]] const LocatorConfig& config() const { return config_; }
   [[nodiscard]] bool trained() const { return !covered_.empty(); }
 
   /// Versioned text artefact ("nmlocator v1", built on ml/serialization):

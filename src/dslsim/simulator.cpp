@@ -857,11 +857,4 @@ void Simulator::stream_weeks(const SimDataset& tables,
   }
 }
 
-SimDataset Simulator::run_stream(const exec::ExecContext& exec,
-                                 const WeekSink& sink) const {
-  SimDataset tables = build_tables(exec);
-  stream_weeks(tables, exec, sink);
-  return tables;
-}
-
 }  // namespace nevermind::dslsim

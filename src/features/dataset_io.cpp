@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "features/stream_buffer.hpp"
-
 namespace nevermind::features {
 
 namespace {
@@ -61,19 +59,17 @@ auto materialized_feed(const dslsim::SimDataset& data) {
   };
 }
 
-/// The encoder reads each week through the rolling buffer — the
-/// residency bound the 1M-line pipeline is built around — and the tap
-/// sees the raw chunk afterwards.
+/// The encoder reads the producer's chunk in place — its windows carry
+/// all the history a row needs — and the tap sees the same chunk
+/// afterwards.
 auto streamed_feed(const dslsim::Simulator& sim,
                    const dslsim::SimDataset& tables,
                    const exec::ExecContext& exec,
                    const StreamPipelineOptions& options) {
   return [&](auto& encoder, int last) {
-    WeekWindowBuffer buffer(tables.n_lines(), options.window_weeks);
     sim.stream_weeks(tables, exec,
                      [&](const dslsim::WeekChunk& chunk) {
-                       buffer.push(chunk);
-                       encoder.on_week(chunk.week, buffer.week(chunk.week));
+                       encoder.on_week(chunk.week, chunk.measurements);
                        if (options.tap) options.tap(chunk);
                      },
                      std::max(last, options.stream_through));

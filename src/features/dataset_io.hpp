@@ -72,9 +72,6 @@ struct LocatorDataset {
 
 /// Knobs for the streamed simulate→encode pipeline savers below.
 struct StreamPipelineOptions {
-  /// Rolling residency bound: the encoder reads each week through a
-  /// WeekWindowBuffer holding at most this many weeks of measurements.
-  int window_weeks = 8;
   /// Stream at least through this test week even when it lies past the
   /// last emitted week (a tap may need later weeks — e.g. the serving
   /// replay feeding the prediction week). -1 = stop at the last
@@ -91,11 +88,11 @@ struct StreamPipelineOptions {
 /// `path` WITHOUT materialized
 /// measurement tables: `tables` is a (possibly tables-only) dataset
 /// from Simulator::build_tables or run, and the weekly measurements are
-/// generated on the fly by sim.stream_weeks and consumed through a
-/// bounded WeekWindowBuffer. The artefact is byte-identical to
+/// generated on the fly by sim.stream_weeks and encoded straight from
+/// the producer's reused week buffer. The artefact is byte-identical to
 /// save_predictor_dataset over a materialized run() at every thread
-/// count. Peak residency: window_weeks chunks + one writer chunk + the
-/// row mappings.
+/// count. Peak residency: one week chunk + one writer chunk + one
+/// encoder tile + the row mappings.
 [[nodiscard]] ml::StoreStatus stream_save_predictor_dataset(
     const std::string& path, const dslsim::Simulator& sim,
     const dslsim::SimDataset& tables, const exec::ExecContext& exec,

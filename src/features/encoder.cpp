@@ -266,7 +266,6 @@ void WeekEncoder::on_week(int week,
             tile_labels_[u - t0] != 0, static_cast<dslsim::LineId>(u), week);
     }
   }
-  rows_ += n_lines;
   ++next_week_;
 }
 
@@ -280,7 +279,8 @@ std::size_t count_week_rows(const dslsim::SimDataset& data, int emit_from,
 
 EncodedBlock encode_weeks(const dslsim::SimDataset& data, int emit_from,
                           int emit_to, const EncoderConfig& config,
-                          const TicketLabeler& labeler) {
+                          const TicketLabeler& labeler,
+                          const exec::ExecContext& exec) {
   const std::size_t n_rows = count_week_rows(data, emit_from, emit_to);
   EncodedBlock block{ml::FeatureArena(all_columns(config), n_rows), {}, {}};
   block.line_of_row.reserve(n_rows);
@@ -291,7 +291,8 @@ EncodedBlock encode_weeks(const dslsim::SimDataset& data, int emit_from,
                         block.dataset.add_row(row, label);
                         block.line_of_row.push_back(u);
                         block.week_of_row.push_back(w);
-                      });
+                      },
+                      exec);
   for (int w = 0; w <= encoder.emit_to(); ++w) {
     encoder.on_week(w, data.week_measurements(w));
   }
@@ -358,7 +359,6 @@ void DispatchEncoder::on_week(
                         data_.last_edge_ticket_at_or_before(u, day), day,
                         config_, n_base_, row_);
       sink_(std::span<const float>(row_), note_idx);
-      ++rows_;
     }
   }
   advance_windows(exec_, states_, measurements);
@@ -375,7 +375,8 @@ std::size_t count_dispatch_rows(const dslsim::SimDataset& data, int week_from,
 }
 
 LocatorBlock encode_at_dispatch(const dslsim::SimDataset& data, int week_from,
-                                int week_to, const EncoderConfig& config) {
+                                int week_to, const EncoderConfig& config,
+                                const exec::ExecContext& exec) {
   const std::size_t n_rows = count_dispatch_rows(data, week_from, week_to);
   LocatorBlock block{ml::FeatureArena(all_columns(config), n_rows), {}};
   block.note_of_row.reserve(n_rows);
@@ -384,7 +385,8 @@ LocatorBlock encode_at_dispatch(const dslsim::SimDataset& data, int week_from,
                               std::uint32_t note_idx) {
                             block.dataset.add_row(row, false);
                             block.note_of_row.push_back(note_idx);
-                          });
+                          },
+                          exec);
   for (int w = 0; w <= encoder.week_to(); ++w) {
     encoder.on_week(w, data.week_measurements(w));
   }

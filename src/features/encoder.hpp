@@ -116,11 +116,12 @@ struct TicketLabeler {
 /// Encode all lines for the weeks [emit_from, emit_to] (inclusive test-
 /// week indices). History state (time-series means, modem-off rates) is
 /// accumulated from week 0, exactly as an online deployment would have
-/// seen it.
-[[nodiscard]] EncodedBlock encode_weeks(const dslsim::SimDataset& data,
-                                        int emit_from, int emit_to,
-                                        const EncoderConfig& config,
-                                        const TicketLabeler& labeler);
+/// seen it. Weeks are encoded by WeekEncoder on `exec`; the block is
+/// byte-identical at every thread count.
+[[nodiscard]] EncodedBlock encode_weeks(
+    const dslsim::SimDataset& data, int emit_from, int emit_to,
+    const EncoderConfig& config, const TicketLabeler& labeler,
+    const exec::ExecContext& exec = exec::ExecContext::serial());
 
 /// Exact number of rows encode_weeks would emit for this week span —
 /// the streaming writer needs the row count before the first append.
@@ -168,7 +169,6 @@ class WeekEncoder {
   [[nodiscard]] int next_week() const noexcept { return next_week_; }
   [[nodiscard]] int emit_from() const noexcept { return emit_from_; }
   [[nodiscard]] int emit_to() const noexcept { return emit_to_; }
-  [[nodiscard]] std::size_t rows_emitted() const noexcept { return rows_; }
 
  private:
   const dslsim::SimDataset& data_;
@@ -184,7 +184,6 @@ class WeekEncoder {
   std::vector<LineWindow> states_;
   std::vector<float> tile_;  // row-major, n_cols_ floats per line
   std::vector<std::uint8_t> tile_labels_;
-  std::size_t rows_ = 0;
 };
 
 /// Encode feature rows at dispatch time for the trouble locator: one
@@ -201,9 +200,10 @@ struct LocatorBlock {
   std::shared_ptr<const ml::BinnedColumns> bins;
 };
 
-[[nodiscard]] LocatorBlock encode_at_dispatch(const dslsim::SimDataset& data,
-                                              int week_from, int week_to,
-                                              const EncoderConfig& config);
+[[nodiscard]] LocatorBlock encode_at_dispatch(
+    const dslsim::SimDataset& data, int week_from, int week_to,
+    const EncoderConfig& config,
+    const exec::ExecContext& exec = exec::ExecContext::serial());
 
 /// Exact number of rows encode_at_dispatch would emit for this span.
 [[nodiscard]] std::size_t count_dispatch_rows(const dslsim::SimDataset& data,
@@ -231,7 +231,6 @@ class DispatchEncoder {
 
   [[nodiscard]] int next_week() const noexcept { return next_week_; }
   [[nodiscard]] int week_to() const noexcept { return week_to_; }
-  [[nodiscard]] std::size_t rows_emitted() const noexcept { return rows_; }
 
  private:
   const dslsim::SimDataset& data_;
@@ -244,7 +243,6 @@ class DispatchEncoder {
   std::vector<std::vector<std::uint32_t>> notes_by_week_;
   std::vector<LineWindow> states_;
   std::vector<float> row_;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace nevermind::features

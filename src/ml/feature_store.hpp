@@ -141,8 +141,6 @@ class ArenaStreamWriter {
   /// header, and closes the file. Returns the first error encountered.
   [[nodiscard]] StoreStatus finish();
 
-  [[nodiscard]] std::size_t rows_appended() const noexcept { return appended_; }
-
  private:
   void flush_chunk();
 

@@ -26,31 +26,9 @@ ReplayDriver::ReplayDriver(const dslsim::SimDataset& data,
 int ReplayDriver::feed_next_week(const exec::ExecContext& exec) {
   if (exhausted()) return -1;
   const int week = next_week_;
-  const util::Day day = util::saturday_of_week(week);
-
-  // Tickets first: week w's feature row sees every ticket reported at
-  // or before w's Saturday.
-  while (ticket_cursor_ < tickets_.size() &&
-         tickets_[ticket_cursor_].first <= day) {
-    store_.ingest_ticket(tickets_[ticket_cursor_].second,
-                         tickets_[ticket_cursor_].first);
-    ++ticket_cursor_;
-  }
-
-  const std::size_t n_lines = data_.n_lines();
-  exec.parallel_for(0, n_lines, 0, [&](std::size_t b, std::size_t e) {
-    for (std::size_t u = b; u < e; ++u) {
-      const auto line = static_cast<dslsim::LineId>(u);
-      LineMeasurement m;
-      m.line = line;
-      m.week = week;
-      m.profile = data_.plant(line).profile;
-      m.metrics = data_.measurement(week, line);
-      store_.ingest(m);
-    }
-  });
-  measurements_fed_ += n_lines;
-  ++next_week_;
+  feed_week_chunk({week, util::saturday_of_week(week),
+                   data_.week_measurements(week)},
+                  exec);
   return week;
 }
 
@@ -61,15 +39,23 @@ void ReplayDriver::feed_week_chunk(const dslsim::WeekChunk& chunk,
                            std::to_string(next_week_) + ", got chunk for " +
                            std::to_string(chunk.week));
   }
-  const util::Day day = chunk.day;
+  const std::size_t n_lines = data_.n_lines();
+  if (chunk.measurements.size() != n_lines) {
+    throw std::invalid_argument("ReplayDriver: chunk has " +
+                                std::to_string(chunk.measurements.size()) +
+                                " lines, dataset has " +
+                                std::to_string(n_lines));
+  }
+
+  // Tickets first: week w's feature row sees every ticket reported at
+  // or before w's Saturday.
   while (ticket_cursor_ < tickets_.size() &&
-         tickets_[ticket_cursor_].first <= day) {
+         tickets_[ticket_cursor_].first <= chunk.day) {
     store_.ingest_ticket(tickets_[ticket_cursor_].second,
                          tickets_[ticket_cursor_].first);
     ++ticket_cursor_;
   }
 
-  const std::size_t n_lines = chunk.measurements.size();
   exec.parallel_for(0, n_lines, 0, [&](std::size_t b, std::size_t e) {
     for (std::size_t u = b; u < e; ++u) {
       const auto line = static_cast<dslsim::LineId>(u);

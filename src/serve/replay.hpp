@@ -35,14 +35,15 @@ class ReplayDriver {
   void feed_through(int week, const exec::ExecContext& exec =
                                   exec::ExecContext::serial());
 
-  /// Streamed counterpart of feed_next_week: ingest a week chunk from
-  /// Simulator::stream_weeks instead of reading data.measurement().
-  /// Tickets still come from the (tables-only) dataset, measurements
-  /// from the chunk, so the store ends in exactly the state
-  /// feed_next_week leaves it in. chunk.week must equal next_week();
-  /// throws std::logic_error otherwise. Use as the streamed pipeline's
-  /// tap: `[&](const dslsim::WeekChunk& c) { driver.feed_week_chunk(c,
-  /// exec); }`.
+  /// Ingest a week chunk from Simulator::stream_weeks — the one ingest
+  /// body; feed_next_week is this call over the dataset's own week.
+  /// Tickets come from the (possibly tables-only) dataset, measurements
+  /// from the chunk, so a streamed and a materialized replay end in the
+  /// same store state. chunk.week must equal next_week() (throws
+  /// std::logic_error otherwise) and the chunk must hold one measurement
+  /// per line (throws std::invalid_argument). Use as the streamed
+  /// pipeline's tap: `[&](const dslsim::WeekChunk& c) {
+  /// driver.feed_week_chunk(c, exec); }`.
   void feed_week_chunk(const dslsim::WeekChunk& chunk,
                        const exec::ExecContext& exec =
                            exec::ExecContext::serial());

@@ -1,8 +1,8 @@
 // The streaming pipeline's identity anchor: every streamed producer or
 // consumer must be byte-identical to its materialized counterpart at 1
 // and 8 threads — Simulator::stream_weeks vs run()'s measurement table
-// (including a correlated infra-fault run), the WeekWindowBuffer's
-// eviction/straddle semantics, the streamed dataset artefacts vs the
+// (including a correlated infra-fault run), the producer contract every
+// chunk consumer enforces, the streamed dataset artefacts vs the
 // materialized savers, the full streamed training chain
 // (plan_full_encoder + train_from_block) vs train(), and the serving
 // replay fed chunk-wise vs week-by-week from a materialized dataset.
@@ -13,14 +13,15 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/ticket_predictor.hpp"
 #include "core/trouble_locator.hpp"
 #include "features/dataset_io.hpp"
-#include "features/stream_buffer.hpp"
 #include "serve/line_state_store.hpp"
 #include "serve/replay.hpp"
 #include "util/calendar.hpp"
@@ -123,53 +124,74 @@ TEST(StreamWeeks, ThroughWeekStopsEarly) {
 }
 
 // ---------------------------------------------------------------------
-// The rolling window: eviction, straddle, producer-contract errors.
+// The producer contract every chunk consumer enforces: weeks arrive in
+// ascending order from week 0 with no gaps, one measurement per line.
 // ---------------------------------------------------------------------
 
-TEST(WeekWindowBuffer, EvictsBeyondWindowAndKeepsBytes) {
-  const dslsim::SimConfig cfg = small_config(150, 5);
-  const dslsim::SimDataset data = dslsim::Simulator(cfg).run();
-  features::WeekWindowBuffer buffer(cfg.topology.n_lines, 4);
-  EXPECT_EQ(buffer.newest_week(), -1);
-  EXPECT_EQ(buffer.oldest_week(), -1);
-  for (int w = 0; w < 10; ++w) {
-    buffer.push(w, data.week_measurements(w));
-    // The window straddles pushes: everything in (w-4, w] stays
-    // readable bit-for-bit, anything older is gone.
-    EXPECT_EQ(buffer.newest_week(), w);
-    EXPECT_EQ(buffer.oldest_week(), std::max(0, w - 3));
-    for (int back = 0; back < 4; ++back) {
-      const int resident = w - back;
-      if (resident < 0) break;
-      ASSERT_TRUE(buffer.contains(resident));
-      EXPECT_TRUE(same_week(buffer.week(resident),
-                            data.week_measurements(resident)));
-    }
-    if (w >= 4) {
-      EXPECT_FALSE(buffer.contains(w - 4));
-      EXPECT_THROW((void)buffer.week(w - 4), std::out_of_range);
-    }
+/// std::invalid_argument is itself a std::logic_error, so an ordering
+/// fault must raise a logic_error that is not the size error.
+template <typename Feed>
+void expect_ordering_error(Feed&& feed) {
+  try {
+    feed();
+  } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << "size error for an out-of-order week: " << e.what();
+    return;
+  } catch (const std::logic_error&) {
+    return;
   }
-  // Residency is the window, not the history that flowed through.
-  EXPECT_EQ(buffer.resident_bytes(),
-            4 * static_cast<std::size_t>(cfg.topology.n_lines) *
-                sizeof(dslsim::MetricVector));
+  ADD_FAILURE() << "out-of-order week accepted";
 }
 
-TEST(WeekWindowBuffer, EnforcesProducerContract) {
+TEST(StreamContract, ConsumersRejectOutOfOrderAndMisSizedWeeks) {
   const dslsim::SimConfig cfg = small_config(80, 6);
   const dslsim::SimDataset data = dslsim::Simulator(cfg).run();
-  features::WeekWindowBuffer buffer(cfg.topology.n_lines, 3);
-  EXPECT_THROW(features::WeekWindowBuffer(10, 0), std::invalid_argument);
-  // Weeks must arrive in order with no gaps...
-  EXPECT_THROW(buffer.push(1, data.week_measurements(1)), std::logic_error);
-  buffer.push(0, data.week_measurements(0));
-  EXPECT_THROW(buffer.push(2, data.week_measurements(2)), std::logic_error);
-  EXPECT_THROW(buffer.push(0, data.week_measurements(0)), std::logic_error);
-  // ...and sized to the line population.
-  const std::vector<dslsim::MetricVector> wrong(17);
-  EXPECT_THROW(buffer.push(1, {wrong.data(), wrong.size()}),
-               std::invalid_argument);
+  const std::vector<dslsim::MetricVector> short_week(17);
+  const std::vector<dslsim::MetricVector> long_week(cfg.topology.n_lines + 1);
+
+  // `feed(week, measurements)` drives one consumer; each must reject a
+  // bad chunk without advancing, then accept the right one.
+  const auto expect_contract = [&](const auto& feed) {
+    expect_ordering_error([&] { feed(1, data.week_measurements(1)); });
+    feed(0, data.week_measurements(0));
+    expect_ordering_error([&] { feed(2, data.week_measurements(2)); });
+    expect_ordering_error([&] { feed(0, data.week_measurements(0)); });
+    EXPECT_THROW(feed(1, {short_week.data(), short_week.size()}),
+                 std::invalid_argument);
+    EXPECT_THROW(feed(1, {long_week.data(), long_week.size()}),
+                 std::invalid_argument);
+    feed(1, data.week_measurements(1));
+  };
+  using Week = std::span<const dslsim::MetricVector>;
+
+  {
+    SCOPED_TRACE("WeekEncoder");
+    std::size_t rows = 0;
+    features::WeekEncoder encoder(
+        data, 0, 2, base_config(), features::TicketLabeler{28},
+        [&](std::span<const float>, bool, dslsim::LineId, int) { ++rows; });
+    expect_contract([&](int week, Week m) { encoder.on_week(week, m); });
+    EXPECT_EQ(encoder.next_week(), 2);
+    EXPECT_EQ(rows, 2U * cfg.topology.n_lines);
+  }
+  {
+    SCOPED_TRACE("DispatchEncoder");
+    features::DispatchEncoder encoder(
+        data, 0, 2, base_config(),
+        [](std::span<const float>, std::uint32_t) {});
+    expect_contract([&](int week, Week m) { encoder.on_week(week, m); });
+    EXPECT_EQ(encoder.next_week(), 2);
+  }
+  {
+    SCOPED_TRACE("ReplayDriver");
+    serve::LineStateStore store(2);
+    serve::ReplayDriver replay(data, store);
+    expect_contract([&](int week, Week m) {
+      replay.feed_week_chunk({week, util::saturday_of_week(week), m});
+    });
+    EXPECT_EQ(replay.next_week(), 2);
+    EXPECT_EQ(replay.measurements_fed(), 2U * cfg.topology.n_lines);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -202,24 +224,16 @@ TEST_F(StreamArtefactTest, PredictorArtefactByteIdentical) {
   std::filesystem::remove(mat_path);
   ASSERT_FALSE(reference.empty());
 
-  // Windows both wider and narrower than the emit span: a narrow
-  // window forces emitted weeks to be encoded and evicted while later
-  // chunks are still arriving (the straddle case).
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    for (const int window : {1, 3, 16}) {
-      const exec::ExecContext exec(threads);
-      const dslsim::SimDataset tables = sim.build_tables(exec);
-      features::StreamPipelineOptions opts;
-      opts.window_weeks = window;
-      const std::string path = temp_path("pred_stream.nmarena");
-      ASSERT_TRUE(features::stream_save_predictor_dataset(
-                      path, sim, tables, exec, kTrainFrom, kTrainTo,
-                      base_config(), labeler, opts)
-                      .ok());
-      EXPECT_EQ(slurp(path), reference)
-          << threads << " thread(s), window " << window;
-      std::filesystem::remove(path);
-    }
+    const exec::ExecContext exec(threads);
+    const dslsim::SimDataset tables = sim.build_tables(exec);
+    const std::string path = temp_path("pred_stream.nmarena");
+    ASSERT_TRUE(features::stream_save_predictor_dataset(
+                    path, sim, tables, exec, kTrainFrom, kTrainTo,
+                    base_config(), labeler)
+                    .ok());
+    EXPECT_EQ(slurp(path), reference) << threads << " thread(s)";
+    std::filesystem::remove(path);
   }
 }
 
@@ -248,25 +262,20 @@ TEST_F(StreamArtefactTest, FullLayoutPredictorArtefactByteIdentical) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     const exec::ExecContext exec(threads);
     const dslsim::SimDataset tables = sim.build_tables(exec);
-    for (const int window : {1, 3}) {
-      features::StreamPipelineOptions opts;
-      opts.window_weeks = window;
-      const std::string path = temp_path("pred_full_stream.nmarena");
-      ASSERT_TRUE(features::stream_save_predictor_dataset(
-                      path, sim, tables, exec, kTrainFrom, kTrainFrom + 1,
-                      cfg, labeler, opts)
-                      .ok());
-      EXPECT_EQ(slurp(path), reference)
-          << threads << " thread(s), window " << window;
-      std::filesystem::remove(path);
-    }
+    const std::string path = temp_path("pred_full_stream.nmarena");
+    ASSERT_TRUE(features::stream_save_predictor_dataset(
+                    path, sim, tables, exec, kTrainFrom, kTrainFrom + 1, cfg,
+                    labeler)
+                    .ok());
+    EXPECT_EQ(slurp(path), reference) << threads << " thread(s)";
+    std::filesystem::remove(path);
   }
 }
 
 TEST_F(StreamArtefactTest, PredictorArtefactFinalWeekOfYear) {
   // Emit range butting against the last simulated week: the stream
-  // ends exactly at the final chunk, with no trailing weeks to flush
-  // the window.
+  // ends exactly at the final chunk, with no trailing weeks after the
+  // last emitted one.
   const dslsim::Simulator sim(small_config());
   const features::TicketLabeler labeler{28};
   const int last = data_->n_weeks() - 1;
@@ -279,12 +288,10 @@ TEST_F(StreamArtefactTest, PredictorArtefactFinalWeekOfYear) {
 
   const exec::ExecContext exec = exec::ExecContext::serial();
   const dslsim::SimDataset tables = sim.build_tables(exec);
-  features::StreamPipelineOptions opts;
-  opts.window_weeks = 2;
   const std::string path = temp_path("pred_tail_stream.nmarena");
   ASSERT_TRUE(features::stream_save_predictor_dataset(
                   path, sim, tables, exec, last - 2, last, base_config(),
-                  labeler, opts)
+                  labeler)
                   .ok());
   EXPECT_EQ(slurp(path), reference);
   std::filesystem::remove(path);
@@ -303,12 +310,10 @@ TEST_F(StreamArtefactTest, LocatorArtefactByteIdentical) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     const exec::ExecContext exec(threads);
     const dslsim::SimDataset tables = sim.build_tables(exec);
-    features::StreamPipelineOptions opts;
-    opts.window_weeks = 4;
     const std::string path = temp_path("loc_stream.nmarena");
     ASSERT_TRUE(features::stream_save_locator_dataset(path, sim, tables,
                                                       exec, kLocFrom, kLocTo,
-                                                      base_config(), opts)
+                                                      base_config())
                     .ok());
     EXPECT_EQ(slurp(path), reference) << threads << " thread(s)";
     std::filesystem::remove(path);
@@ -338,8 +343,6 @@ TEST(StreamTraining, PredictorKernelMatchesTrain) {
     tpc.exec = exec::ExecContext(threads);
     core::TicketPredictor predictor(tpc);
     const dslsim::SimDataset tables = sim.build_tables(tpc.exec);
-    features::StreamPipelineOptions opts;
-    opts.window_weeks = 4;
 
     // Pass 1: base matrix, mmap'ed for stage-1 planning.
     const std::string base_path = temp_path("chain_base.nmarena");
@@ -348,7 +351,7 @@ TEST(StreamTraining, PredictorKernelMatchesTrain) {
     base_cfg.product_pairs.clear();
     ASSERT_TRUE(features::stream_save_predictor_dataset(
                     base_path, sim, tables, tpc.exec, kTrainFrom, kTrainTo,
-                    base_cfg, labeler, opts)
+                    base_cfg, labeler)
                     .ok());
     features::EncoderConfig full_cfg;
     {
@@ -365,7 +368,7 @@ TEST(StreamTraining, PredictorKernelMatchesTrain) {
     const std::string full_path = temp_path("chain_full.nmarena");
     ASSERT_TRUE(features::stream_save_predictor_dataset(
                     full_path, sim, tables, tpc.exec, kTrainFrom, kTrainTo,
-                    full_cfg, labeler, opts)
+                    full_cfg, labeler)
                     .ok());
     {
       auto full = features::load_predictor_dataset(full_path,
@@ -432,12 +435,10 @@ TEST(StreamTraining, LocatorMatchesTrain) {
     tlc.exec = exec::ExecContext(threads);
     core::TroubleLocator locator(tlc);
     const dslsim::SimDataset tables = sim.build_tables(tlc.exec);
-    features::StreamPipelineOptions opts;
-    opts.window_weeks = 4;
     const std::string path = temp_path("loc_chain.nmarena");
     ASSERT_TRUE(features::stream_save_locator_dataset(
                     path, sim, tables, tlc.exec, kLocFrom, kLocTo,
-                    locator.encoder_config(), opts)
+                    locator.encoder_config())
                     .ok());
     {
       auto loaded = features::load_locator_dataset(path,

@@ -479,7 +479,6 @@ def self_test():
     # those are perf metrics.
     scale = {
         "bench": "scale",
-        "window_weeks": 8,
         "identity": {"lines": 10000, "chunks_identical": True,
                      "artefact_identical": True, "kernel_identical": True},
         "runs": [
@@ -493,7 +492,7 @@ def self_test():
              "artefact_file_bytes": 2500000000, "rss_bounded": True},
         ],
     }
-    # Unchanged: clean (verdict bools, window/lines counts not metrics).
+    # Unchanged: clean (verdict bools, lines counts not metrics).
     assert compare(scale, scale, 0.2, 0.05) == []
     # A streamed-throughput drop at 1M lines is a regression, matched by
     # the "lines" key even when the run order flips.

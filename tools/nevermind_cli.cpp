@@ -55,9 +55,8 @@
 //
 // --stream (simulate/predict/locate/serve) runs the same workflows
 // without materializing the year of weekly measurements: the simulator
-// streams per-week chunks into the encoder and the serving replay
-// through a bounded rolling window (--window-weeks, default 8),
-// training goes through a .nmarena artefact + mmap load, and every
+// streams per-week chunks straight into the encoder and the serving
+// replay, training goes through a .nmarena artefact + mmap load, and every
 // output is byte-identical to the materialized command.
 #include <unistd.h>
 
@@ -133,12 +132,8 @@ struct CliArgs {
   std::size_t cluster_shards = 12;
   std::size_t replication = 2;
   // Streamed pipeline (--stream): simulate→encode→train without a
-  // materialized year of measurements; --window-weeks bounds how many
-  // weeks the rolling chunk buffer keeps resident.
+  // materialized year of measurements.
   bool stream = false;
-  std::optional<int> window_weeks;
-
-  [[nodiscard]] int window() const { return window_weeks.value_or(8); }
 
   /// Shared pool for the run; serial when --threads 1 (the default).
   [[nodiscard]] exec::ExecContext exec() const {
@@ -251,9 +246,6 @@ CliArgs parse(int argc, char** argv, int first) {
           parse_uint("--deadline-ms", value(), 0, 3'600'000));
     } else if (flag == "--stream") {
       args.stream = true;
-    } else if (flag == "--window-weeks") {
-      args.window_weeks =
-          static_cast<int>(parse_uint("--window-weeks", value(), 1, 52));
     } else if (flag == "--cluster") {
       args.cluster_peers = value();
     } else if (flag == "--cluster-shards") {
@@ -406,12 +398,7 @@ void validate_artefact_paths(const CliArgs& args, const std::string& cmd) {
 /// exit-2 discipline as the artefact path validation: every rejected
 /// combination names the flags and dies before any simulation runs.
 void validate_stream_flags(const CliArgs& args, const std::string& cmd) {
-  if (!args.stream) {
-    if (args.window_weeks.has_value()) {
-      die_usage("--window-weeks only applies to --stream runs");
-    }
-    return;
-  }
+  if (!args.stream) return;
   if (cmd != "simulate" && cmd != "predict" && cmd != "locate" &&
       cmd != "serve") {
     die_usage("--stream is not supported for '" + cmd + "'");
@@ -621,7 +608,7 @@ void maybe_save_bundle(const CliArgs& args,
 
 /// predict/serve --stream: the full pipeline without a materialized
 /// year of measurements. Two streaming passes over the simulated
-/// weeks, both through a bounded rolling window:
+/// weeks, each encoding one week chunk at a time:
 ///
 ///   pass 1  encodes the base-feature training matrix (the stage-1
 ///           planning input) while feeding the serving replay through
@@ -642,8 +629,7 @@ int run_stream_scoring(const CliArgs& args, bool serve_format) {
   const exec::ExecContext exec = args.exec();
   const dslsim::Simulator sim(sim_config(args));
   std::cerr << "streaming " << args.lines << " lines (seed " << args.seed
-            << ", " << exec.threads() << " thread(s), window "
-            << args.window() << " weeks)...\n";
+            << ", " << exec.threads() << " thread(s))...\n";
   const dslsim::SimDataset tables = sim.build_tables(exec);
 
   core::PredictorConfig cfg;
@@ -666,7 +652,6 @@ int run_stream_scoring(const CliArgs& args, bool serve_format) {
   // ---- pass 1: base matrix + serving replay ------------------------
   const std::string base_path = temp_artefact_path("base");
   features::StreamPipelineOptions base_opts;
-  base_opts.window_weeks = args.window();
   base_opts.stream_through = args.week;
   base_opts.tap = [&](const dslsim::WeekChunk& chunk) {
     if (chunk.week <= args.week) replay.feed_week_chunk(chunk, exec);
@@ -703,13 +688,11 @@ int run_stream_scoring(const CliArgs& args, bool serve_format) {
   const bool keep_dataset = !args.save_dataset_path.empty();
   const std::string full_path =
       keep_dataset ? args.save_dataset_path : temp_artefact_path("full");
-  features::StreamPipelineOptions full_opts;
-  full_opts.window_weeks = args.window();
   std::cerr << "pass 2/2: streaming full matrix (weeks " << train_from << "-"
             << train_to << ")...\n";
   st = features::stream_save_predictor_dataset(full_path, sim, tables, exec,
                                                train_from, train_to, full_cfg,
-                                               labeler, full_opts);
+                                               labeler);
   if (!st.ok()) {
     std::cerr << "cannot write " << full_path << ": " << st.message << "\n";
     return 1;
@@ -799,8 +782,7 @@ int cmd_locate_stream(const CliArgs& args) {
   const exec::ExecContext exec = args.exec();
   const dslsim::Simulator sim(sim_config(args));
   std::cerr << "streaming " << args.lines << " lines (seed " << args.seed
-            << ", " << exec.threads() << " thread(s), window "
-            << args.window() << " weeks)...\n";
+            << ", " << exec.threads() << " thread(s))...\n";
   const dslsim::SimDataset tables = sim.build_tables(exec);
 
   core::LocatorConfig cfg;
@@ -824,7 +806,6 @@ int cmd_locate_stream(const CliArgs& args) {
   const std::string path =
       keep_dataset ? args.save_dataset_path : temp_artefact_path("locator");
   features::StreamPipelineOptions opts;
-  opts.window_weeks = args.window();
   opts.stream_through = args.week;
   opts.tap = [&](const dslsim::WeekChunk& chunk) {
     rank_encoder.on_week(chunk.week, chunk.measurements);
@@ -1495,11 +1476,11 @@ void usage() {
          "[--model FILE] [--save-models DIR] [--load-models DIR] "
          "[--save-dataset FILE] [--load-dataset FILE] "
          "[--threads T] [--shards P] [--binning exact|hist] "
-         "[--simd auto|scalar|avx2] [--stream] [--window-weeks W]\n"
+         "[--simd auto|scalar|avx2] [--stream]\n"
          "  --stream (simulate|predict|locate|serve)   run the streamed "
          "pipeline: weekly measurements are generated, encoded and "
-         "consumed chunk-wise through a rolling --window-weeks buffer "
-         "(default 8) instead of materializing the year; training goes "
+         "consumed one week chunk at a time instead of materializing "
+         "the year; training goes "
          "through a .nmarena artefact + mmap, and the output is byte-"
          "identical to the materialized command\n"
          "  serve --listen PORT [--deadline-ms D]   expose the scoring "
