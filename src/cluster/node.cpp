@@ -12,7 +12,7 @@ namespace nevermind::cluster {
 
 ClusterNode::ClusterNode(ClusterNodeConfig config)
     : config_(std::move(config)),
-      store_(config_.store_shards, config_.window_capacity),
+      store_(config_.store_shards),
       service_(store_, registry_),
       membership_(config_.membership) {}
 

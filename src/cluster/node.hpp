@@ -41,7 +41,6 @@ struct ClusterNodeConfig {
   /// 0 = kernel-assigned ephemeral port; read the result from port().
   std::uint16_t port = 0;
   std::size_t store_shards = 16;
-  std::size_t window_capacity = 8;
   /// Handoff pages and model artefacts are far bigger than scoring
   /// frames, so cluster servers accept larger payloads than plain ones.
   std::size_t max_payload = 8U << 20;

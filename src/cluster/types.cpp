@@ -6,11 +6,11 @@ namespace nevermind::cluster {
 
 namespace {
 
-/// splitmix64 finalizer — same construction the store uses internally:
-/// line ids are dense sequential integers, so a plain modulo would put
-/// contiguous ranges on one shard; the mix spreads neighbours
-/// uniformly. Deliberately independent of LineStateStore's internal
-/// shard count: cluster shards are a routing concept.
+/// splitmix64 finalizer — line ids are dense sequential integers, so a
+/// plain modulo would put contiguous ranges on one shard; the mix
+/// spreads neighbours uniformly. Deliberately independent of
+/// LineStateStore's internal (modulo) sharding: cluster shards are a
+/// routing concept.
 [[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -250,11 +250,8 @@ void write_exported_line(net::PayloadWriter& w, const serve::ExportedLine& e) {
     w.f64(s.raw_min());
     w.f64(s.raw_max());
   }
-  w.u16(static_cast<std::uint16_t>(e.ring.size()));
-  for (const auto& [week, metrics] : e.ring) {
-    w.i32(week);
-    for (const float v : metrics) w.f32(v);
-  }
+  // Former raw-measurement ring: always empty now (DESIGN.md §13).
+  w.u16(0);
 }
 
 bool read_exported_line(net::PayloadReader& r, serve::ExportedLine& e) {
@@ -278,13 +275,12 @@ bool read_exported_line(net::PayloadReader& r, serve::ExportedLine& e) {
     s = util::RunningStats::restore(static_cast<std::size_t>(n), mean, m2,
                                     min, max);
   }
+  // A peer from before the ring was dropped may still send (week,
+  // metrics) entries: parse them so the page stays framed, then discard.
   const std::uint16_t ring_count = r.u16();
-  e.ring.reserve(std::min<std::size_t>(ring_count, kReserveCap));
   for (std::uint16_t i = 0; i < ring_count && r.ok(); ++i) {
-    std::pair<int, dslsim::MetricVector> entry;
-    entry.first = r.i32();
-    for (float& v : entry.second) v = r.f32();
-    e.ring.push_back(entry);
+    (void)r.i32();
+    for (std::size_t m = 0; m < dslsim::kNumLineMetrics; ++m) (void)r.f32();
   }
   return r.ok();
 }

@@ -1,66 +1,103 @@
 #include "serve/line_state_store.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace nevermind::serve {
 
-namespace {
-
-/// splitmix64 finalizer — line ids are dense sequential integers, so a
-/// plain modulo would put contiguous id ranges on the same shard and
-/// serialize bulk replays. The mix spreads neighbours uniformly.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+std::uint32_t LineStateStore::SlotTable::get(
+    std::uint32_t local) const noexcept {
+  const auto& dir = dirs_[local >> 22];
+  if (!dir) return 0;
+  const auto& page = (*dir)[(local >> 12) & 1023];
+  return page ? (*page)[local & 4095] : 0;
 }
 
-}  // namespace
+std::uint32_t& LineStateStore::SlotTable::at(std::uint32_t local) {
+  auto& dir = dirs_[local >> 22];
+  if (!dir) dir = std::make_unique<Dir>();
+  auto& page = (*dir)[(local >> 12) & 1023];
+  if (!page) page = std::make_unique<Page>();  // value-initialised: all 0
+  return (*page)[local & 4095];
+}
 
-LineStateStore::LineStateStore(std::size_t n_shards,
-                               std::size_t window_capacity)
-    : window_capacity_(std::max<std::size_t>(window_capacity, 1)),
-      shards_(std::max<std::size_t>(n_shards, 1)) {}
+LineStateStore::LineStateStore(std::size_t n_shards)
+    : shards_(std::max<std::size_t>(n_shards, 1)) {}
 
-std::size_t LineStateStore::shard_of(dslsim::LineId line) const noexcept {
-  return static_cast<std::size_t>(mix64(line)) % shards_.size();
+const LineStateStore::Entry* LineStateStore::find(
+    const Shard& shard, dslsim::LineId line) const noexcept {
+  const auto slot = shard.slots.get(
+      static_cast<std::uint32_t>(line / shards_.size()));
+  return slot == 0 ? nullptr : &shard.entries[slot - 1];
+}
+
+LineStateStore::Entry& LineStateStore::entry(Shard& shard,
+                                             dslsim::LineId line) {
+  std::uint32_t& slot =
+      shard.slots.at(static_cast<std::uint32_t>(line / shards_.size()));
+  if (slot == 0) {
+    shard.entries.emplace_back().line = line;
+    slot = static_cast<std::uint32_t>(shard.entries.size());
+  }
+  return shard.entries[slot - 1];
+}
+
+void LineStateStore::fold(Entry& entry, int week, dslsim::ProfileId profile,
+                          const dslsim::MetricVector& metrics) {
+  if (week < entry.week) return;  // stale delivery: drop
+  if (week > entry.week && entry.week >= 0) {
+    // The previously current Saturday test is now history: fold it
+    // into the window exactly when the offline encoder would (after
+    // emitting that week's row, before seeing the next week's).
+    entry.window.update(entry.current);
+  }
+  entry.current = metrics;
+  entry.week = week;
+  entry.profile = profile;
 }
 
 void LineStateStore::ingest(const LineMeasurement& m) {
   Shard& shard = shards_[shard_of(m.line)];
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    Entry& entry = shard.lines[m.line];
-    if (m.week < entry.week) return;  // stale delivery: drop
-    if (m.week > entry.week && entry.week >= 0) {
-      // The previously current Saturday test is now history: fold it
-      // into the window exactly when the offline encoder would (after
-      // emitting that week's row, before seeing the next week's).
-      entry.window.update(entry.current);
-    }
-    entry.current = m.metrics;
-    entry.week = m.week;
-    entry.profile = m.profile;
-    if (entry.ring.size() < window_capacity_) {
-      entry.ring.emplace_back(m.week, m.metrics);
-      entry.ring_next = entry.ring.size() % window_capacity_;
-    } else {
-      entry.ring[entry.ring_next] = {m.week, m.metrics};
-      entry.ring_next = (entry.ring_next + 1) % window_capacity_;
-    }
+    fold(entry(shard, m.line), m.week, m.profile, m.metrics);
   }
   n_measurements_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void LineStateStore::ingest_week(
+    int week, std::span<const dslsim::MetricVector> by_line,
+    std::span<const dslsim::ProfileId> profile_of,
+    const exec::ExecContext& exec) {
+  if (profile_of.size() < by_line.size()) {
+    throw std::invalid_argument(
+        "LineStateStore::ingest_week: fewer profiles than lines");
+  }
+  const std::size_t n = by_line.size();
+  const std::size_t n_shards = shards_.size();
+  exec.parallel_for(0, n_shards, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t s = b; s < e; ++s) {
+      Shard& shard = shards_[s];
+      const std::lock_guard<std::mutex> lock(shard.mutex);
+      // A no-op after the first week: the shard's lines are all in.
+      shard.entries.reserve(n > s ? (n - s + n_shards - 1) / n_shards : 0);
+      for (std::size_t u = s; u < n; u += n_shards) {
+        const auto line = static_cast<dslsim::LineId>(u);
+        fold(entry(shard, line), week, profile_of[u], by_line[u]);
+      }
+    }
+  });
+  n_measurements_.fetch_add(n, std::memory_order_relaxed);
 }
 
 void LineStateStore::ingest_ticket(dslsim::LineId line, util::Day day) {
   Shard& shard = shards_[shard_of(line)];
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    Entry& entry = shard.lines[line];
-    if (!entry.has_ticket || day > entry.last_ticket) {
-      entry.has_ticket = true;
-      entry.last_ticket = day;
+    Entry& target = entry(shard, line);
+    if (!target.has_ticket || day > target.last_ticket) {
+      target.has_ticket = true;
+      target.last_ticket = day;
     }
   }
   n_tickets_.fetch_add(1, std::memory_order_relaxed);
@@ -70,86 +107,38 @@ std::optional<LineSnapshot> LineStateStore::snapshot(
     dslsim::LineId line) const {
   const Shard& shard = shards_[shard_of(line)];
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.lines.find(line);
-  if (it == shard.lines.end() || it->second.week < 0) return std::nullopt;
-  const Entry& entry = it->second;
+  const Entry* entry = find(shard, line);
+  if (entry == nullptr || entry->week < 0) return std::nullopt;
   LineSnapshot snap;
-  snap.window = entry.window;
-  snap.current = entry.current;
-  snap.week = entry.week;
-  snap.profile = entry.profile;
-  if (entry.has_ticket) snap.last_ticket = entry.last_ticket;
+  snap.window = entry->window;
+  snap.current = entry->current;
+  snap.week = entry->week;
+  snap.profile = entry->profile;
+  if (entry->has_ticket) snap.last_ticket = entry->last_ticket;
   return snap;
-}
-
-std::vector<std::pair<int, dslsim::MetricVector>> LineStateStore::recent(
-    dslsim::LineId line) const {
-  const Shard& shard = shards_[shard_of(line)];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.lines.find(line);
-  if (it == shard.lines.end()) return {};
-  const Entry& entry = it->second;
-  std::vector<std::pair<int, dslsim::MetricVector>> out;
-  out.reserve(entry.ring.size());
-  // Oldest first: the ring cursor points at the oldest slot once full.
-  const std::size_t start =
-      entry.ring.size() < window_capacity_ ? 0 : entry.ring_next;
-  for (std::size_t i = 0; i < entry.ring.size(); ++i) {
-    out.push_back(entry.ring[(start + i) % entry.ring.size()]);
-  }
-  return out;
 }
 
 std::optional<ExportedLine> LineStateStore::export_line(
     dslsim::LineId line) const {
   const Shard& shard = shards_[shard_of(line)];
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.lines.find(line);
-  if (it == shard.lines.end()) return std::nullopt;
-  const Entry& entry = it->second;
-  ExportedLine e;
-  e.line = line;
-  e.window = entry.window;
-  e.current = entry.current;
-  e.week = entry.week;
-  e.profile = entry.profile;
-  e.has_ticket = entry.has_ticket;
-  e.last_ticket = entry.last_ticket;
-  e.ring.reserve(entry.ring.size());
-  const std::size_t start =
-      entry.ring.size() < window_capacity_ ? 0 : entry.ring_next;
-  for (std::size_t i = 0; i < entry.ring.size(); ++i) {
-    e.ring.push_back(entry.ring[(start + i) % entry.ring.size()]);
-  }
-  return e;
+  const Entry* entry = find(shard, line);
+  if (entry == nullptr) return std::nullopt;
+  return *entry;
 }
 
 void LineStateStore::import_line(const ExportedLine& e) {
   Shard& shard = shards_[shard_of(e.line)];
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  Entry& entry = shard.lines[e.line];
-  entry.window = e.window;
-  entry.current = e.current;
-  entry.week = e.week;
-  entry.profile = e.profile;
-  entry.has_ticket = e.has_ticket;
-  entry.last_ticket = e.last_ticket;
-  // Rebuild the ring oldest-first from slot 0; if the exporter kept a
-  // deeper window, keep only the newest window_capacity_ entries.
-  entry.ring.assign(
-      e.ring.size() <= window_capacity_
-          ? e.ring.begin()
-          : e.ring.end() - static_cast<std::ptrdiff_t>(window_capacity_),
-      e.ring.end());
-  entry.ring_next = entry.ring.size() % window_capacity_;
+  entry(shard, e.line) = e;
 }
 
 std::vector<dslsim::LineId> LineStateStore::line_ids() const {
   std::vector<dslsim::LineId> out;
   for (const Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [line, entry] : shard.lines) {
-      if (entry.week >= 0) out.push_back(line);
+    for (const Entry& entry : shard.entries) {
+      if (entry.week >= 0) out.push_back(entry.line);
     }
   }
   std::sort(out.begin(), out.end());
@@ -160,7 +149,7 @@ std::size_t LineStateStore::n_lines() const {
   std::size_t n = 0;
   for (const Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [line, entry] : shard.lines) {
+    for (const Entry& entry : shard.entries) {
       if (entry.week >= 0) ++n;
     }
   }

@@ -11,6 +11,11 @@ namespace nevermind::serve {
 ReplayDriver::ReplayDriver(const dslsim::SimDataset& data,
                            LineStateStore& store)
     : data_(data), store_(store) {
+  profile_of_.reserve(data.n_lines());
+  for (std::size_t u = 0; u < data.n_lines(); ++u) {
+    profile_of_.push_back(
+        data.plant(static_cast<dslsim::LineId>(u)).profile);
+  }
   tickets_.reserve(data.tickets().size());
   for (const auto& ticket : data.tickets()) {
     if (ticket.category == dslsim::TicketCategory::kCustomerEdge) {
@@ -56,17 +61,7 @@ void ReplayDriver::feed_week_chunk(const dslsim::WeekChunk& chunk,
     ++ticket_cursor_;
   }
 
-  exec.parallel_for(0, n_lines, 0, [&](std::size_t b, std::size_t e) {
-    for (std::size_t u = b; u < e; ++u) {
-      const auto line = static_cast<dslsim::LineId>(u);
-      LineMeasurement m;
-      m.line = line;
-      m.week = chunk.week;
-      m.profile = data_.plant(line).profile;
-      m.metrics = chunk.measurements[u];
-      store_.ingest(m);
-    }
-  });
+  store_.ingest_week(chunk.week, chunk.measurements, profile_of_, exec);
   measurements_fed_ += n_lines;
   ++next_week_;
 }

@@ -23,9 +23,9 @@ class ReplayDriver {
 
   /// Feed the next week: first every customer-edge ticket reported at
   /// or before that week's Saturday (the offline encoder's ticket
-  /// horizon), then every line's Saturday measurement, ingested in
-  /// parallel under `exec` (different lines never contend for state, so
-  /// the store contents are independent of the thread count).
+  /// horizon), then every line's Saturday measurement, folded in bulk
+  /// by LineStateStore::ingest_week under `exec` (one task per shard,
+  /// so the store contents are independent of the thread count).
   /// Returns the week index just fed, or -1 when the dataset is
   /// exhausted.
   int feed_next_week(
@@ -60,6 +60,8 @@ class ReplayDriver {
  private:
   const dslsim::SimDataset& data_;
   LineStateStore& store_;
+  /// Every line's service profile, by line id — fixed by the plant.
+  std::vector<dslsim::ProfileId> profile_of_;
   /// Customer-edge tickets as (reported day, line), sorted by day.
   std::vector<std::pair<util::Day, dslsim::LineId>> tickets_;
   std::size_t ticket_cursor_ = 0;

@@ -25,8 +25,11 @@
 #include "net/protocol.hpp"
 #include "serve/line_state_store.hpp"
 #include "serve/model_registry.hpp"
+#include "serve/replay.hpp"
 #include "serve/scoring_service.hpp"
+#include "util/calendar.hpp"
 #include "util/rng.hpp"
+#include "exported_line_eq.hpp"
 
 namespace nevermind::cluster {
 namespace {
@@ -434,6 +437,70 @@ TEST(ClusterHandoff, HandoffPageRoundTrips) {
   EXPECT_EQ(wire_bytes(out, write_handoff_page), bytes);
 }
 
+/// `e` in the HANDOFF layout from before the raw ring was dropped:
+/// the current bytes with the trailing zero ring count replaced by
+/// `ring` (week, metrics) entries.
+std::vector<std::uint8_t> old_layout_line(const serve::ExportedLine& e,
+                                          std::uint16_t ring) {
+  std::vector<std::uint8_t> bytes = wire_bytes(e, write_exported_line);
+  bytes.resize(bytes.size() - 2);  // the u16 ring count, always 0 now
+  net::PayloadWriter w;
+  w.bytes(bytes);
+  w.u16(ring);
+  for (std::uint16_t i = 0; i < ring; ++i) {
+    w.i32(e.week - ring + 1 + i);
+    for (std::size_t m = 0; m < dslsim::kNumLineMetrics; ++m) {
+      w.f32(0.5F * static_cast<float>(m) + static_cast<float>(i));
+    }
+  }
+  return w.take();
+}
+
+TEST(ClusterHandoff, PagesWithARawRingStillDecode) {
+  serve::LineStateStore source(4);
+  seed_store(source, 6);
+  HandoffPage page;
+  page.next_cursor = 9;
+  page.done = 1;
+  for (const dslsim::LineId line : source.line_ids()) {
+    page.lines.push_back(*source.export_line(line));
+  }
+  const auto current = wire_bytes(page, write_handoff_page);
+
+  // The same page as a pre-change peer sends it: 0..4 ring entries.
+  net::PayloadWriter w;
+  w.u32(page.next_cursor);
+  w.u8(page.done);
+  w.u32(static_cast<std::uint32_t>(page.lines.size()));
+  for (std::size_t i = 0; i < page.lines.size(); ++i) {
+    w.bytes(old_layout_line(page.lines[i], static_cast<std::uint16_t>(i)));
+  }
+  const auto old_bytes = w.take();
+  ASSERT_GT(old_bytes.size(), current.size());
+
+  net::PayloadReader r(old_bytes);
+  HandoffPage decoded;
+  ASSERT_TRUE(read_handoff_page(r, decoded));
+  EXPECT_TRUE(r.done());
+  ASSERT_EQ(decoded.lines.size(), page.lines.size());
+  for (std::size_t i = 0; i < page.lines.size(); ++i) {
+    testing::expect_bit_identical(decoded.lines[i], page.lines[i]);
+  }
+  // Same line state as the ring-free page, so it re-encodes to it.
+  EXPECT_EQ(wire_bytes(decoded, write_handoff_page), current);
+
+  // Every cut, inside the ring bytes too, still fails the read.
+  expect_truncations_fail<HandoffPage>(old_bytes, read_handoff_page);
+  const auto one = old_layout_line(page.lines[0], 3);
+  expect_truncations_fail<serve::ExportedLine>(one, read_exported_line);
+  // A count that promises more entries than follow fails as well.
+  auto lying = old_layout_line(page.lines[0], 1);
+  lying[lying.size() - 2 - 4 * (1 + dslsim::kNumLineMetrics)] = 2;  // LE u16
+  net::PayloadReader lr(lying);
+  serve::ExportedLine out;
+  EXPECT_FALSE(read_exported_line(lr, out));
+}
+
 // ---- live two-node cluster through the router --------------------------
 
 class ClusterEndToEnd : public ::testing::Test {
@@ -572,6 +639,86 @@ TEST_F(ClusterEndToEnd, ReplicatedServeSurvivesAKillByteIdentically) {
 
   node0->stop();
   node1b->stop();
+}
+
+TEST_F(ClusterEndToEnd, ShardOwnersHoldSparseLinesAndScoreLikeReplay) {
+  constexpr int kWeek = 7;
+  // Reference: single-node bulk replay through kWeek.
+  serve::LineStateStore ref_store;
+  serve::ReplayDriver(*data_, ref_store).feed_through(kWeek);
+  serve::ModelRegistry ref_registry;
+  ref_registry.publish(predictor_->kernel());
+  const serve::ScoringService ref_service(ref_store, ref_registry);
+
+  // Replication 1 over three nodes: each holds only the lines of its
+  // own cluster shards, a scattered subset of the id range.
+  std::vector<std::unique_ptr<ClusterNode>> nodes;
+  std::vector<Endpoint> endpoints;
+  std::string error;
+  for (NodeId id = 0; id < 3; ++id) {
+    nodes.push_back(std::make_unique<ClusterNode>(node_config(id)));
+    ASSERT_TRUE(nodes.back()->start(&error)) << error;
+    endpoints.push_back({id, "127.0.0.1", nodes.back()->port(), true});
+  }
+  const ShardMap map = make_shard_map(endpoints, 6, 1);
+  ShardRouter router(map, {});
+  ASSERT_TRUE(router.connect_all()) << router.last_error();
+  ASSERT_TRUE(router.push_model(predictor_->kernel()));
+  ASSERT_TRUE(router.broadcast_map());
+
+  for (int week = 0; week <= kWeek; ++week) {
+    for (std::size_t l = 0; l < data_->n_lines(); ++l) {
+      serve::LineMeasurement m;
+      m.line = static_cast<dslsim::LineId>(l);
+      m.week = week;
+      m.profile = data_->plant(m.line).profile;
+      m.metrics = data_->measurement(week, m.line);
+      ASSERT_TRUE(router.ingest(m)) << router.last_error();
+    }
+  }
+  // The tickets the replay fed: recency keeps the latest, so the order
+  // does not matter.
+  for (const auto& t : data_->tickets()) {
+    if (t.category == dslsim::TicketCategory::kCustomerEdge &&
+        t.reported <= util::saturday_of_week(kWeek)) {
+      ASSERT_TRUE(router.ingest_ticket(t.line, t.reported));
+    }
+  }
+
+  std::size_t held = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const serve::LineStateStore& store = nodes[i]->store();
+    EXPECT_LT(store.n_lines(), data_->n_lines()) << "node " << i;
+    held += store.n_lines();
+    for (const dslsim::LineId line : store.line_ids()) {
+      const auto& owners = map.replicas[shard_of_line(line, map.n_shards)];
+      ASSERT_EQ(owners.size(), 1U);
+      EXPECT_EQ(owners[0], i) << "line " << line;
+      testing::expect_bit_identical(*store.export_line(line),
+                                    *ref_store.export_line(line));
+    }
+  }
+  EXPECT_EQ(held, data_->n_lines());
+
+  std::vector<dslsim::LineId> all = ref_store.line_ids();
+  const auto want = ref_service.score_lines(all);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const auto got = router.score(all[i]);
+    ASSERT_TRUE(got.has_value()) << router.last_error();
+    ASSERT_TRUE(got->valid);
+    ASSERT_EQ(got->week, kWeek);
+    ASSERT_EQ(got->score, want[i].score) << "line " << all[i];
+    ASSERT_EQ(got->probability, want[i].probability) << "line " << all[i];
+  }
+  const auto ranked = router.top_n(25);
+  const auto ref_ranked = ref_service.top_n(25);
+  ASSERT_TRUE(ranked.has_value()) << router.last_error();
+  ASSERT_EQ(ranked->size(), ref_ranked.size());
+  for (std::size_t i = 0; i < ranked->size(); ++i) {
+    ASSERT_EQ((*ranked)[i].line, ref_ranked[i].line) << "rank " << i;
+    ASSERT_EQ((*ranked)[i].score, ref_ranked[i].score) << "rank " << i;
+  }
+  for (auto& node : nodes) node->stop();
 }
 
 TEST_F(ClusterEndToEnd, SurvivorsConvergeOnTheSameRebuiltMap) {

@@ -7,8 +7,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <future>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "serve/replay.hpp"
 #include "serve/scoring_service.hpp"
 #include "util/calendar.hpp"
+#include "exported_line_eq.hpp"
 
 namespace nevermind::serve {
 namespace {
@@ -290,8 +294,8 @@ TEST(LineStateStore, TicketRecencyKeepsTheLatestDay) {
   EXPECT_EQ(*snap->last_ticket, 50);
 }
 
-TEST(LineStateStore, LineIdsAscendAcrossShardsAndRecentRingIsBounded) {
-  LineStateStore store(3, 4);
+TEST(LineStateStore, LineIdsAscendAcrossShards) {
+  LineStateStore store(3);
   for (const dslsim::LineId u : {17U, 3U, 11U, 5U}) {
     for (int w = 0; w < 6; ++w) {
       store.ingest({u, w, 1, metrics_with_state(1.0F, static_cast<float>(w))});
@@ -302,11 +306,78 @@ TEST(LineStateStore, LineIdsAscendAcrossShardsAndRecentRingIsBounded) {
   EXPECT_EQ(ids, (std::vector<dslsim::LineId>{3, 5, 11, 17}));
   EXPECT_EQ(store.n_lines(), 4U);
   EXPECT_EQ(store.measurements_ingested(), 24U);
+}
 
-  const auto recent = store.recent(17);
-  ASSERT_EQ(recent.size(), 4U);  // capacity-bounded, oldest first
-  EXPECT_EQ(recent.front().first, 2);
-  EXPECT_EQ(recent.back().first, 5);
+/// Resident set size of this process from /proc/self/status, in bytes
+/// (0 where the file is unavailable).
+std::size_t vm_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      std::size_t kb = 0;
+      status >> kb;
+      return kb * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+TEST(LineStateStore, SparseAndHostileLineIdsStaySmallAndExact) {
+  constexpr dslsim::LineId kMax = 0xFFFFFFFFU;
+  constexpr dslsim::LineId kTicketOnly = 123457U;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    LineStateStore store(shards);
+    store.ingest({0, 0, 2, metrics_with_state(1.0F, 3.0F)});
+    store.ingest({0, 1, 2, metrics_with_state(1.0F, 4.0F)});
+    const std::size_t rss_before = vm_rss_bytes();
+    store.ingest({kMax, 0, 3, metrics_with_state(1.0F, 7.0F)});
+    store.ingest({kMax, 2, 3, metrics_with_state(1.0F, 9.0F)});
+    const std::size_t rss_after = vm_rss_bytes();
+    // One page and one entry, never a table sized to the id.
+    EXPECT_LT(rss_after, rss_before + (std::size_t{4} << 20));
+    store.ingest_ticket(kTicketOnly, 40);
+    store.ingest_ticket(kMax, 61);
+
+    EXPECT_EQ(store.line_ids(), (std::vector<dslsim::LineId>{0, kMax}));
+    EXPECT_EQ(store.n_lines(), 2U);
+    EXPECT_FALSE(store.snapshot(kTicketOnly).has_value());
+    EXPECT_FALSE(store.snapshot(kMax - 1).has_value());
+
+    const auto first = store.snapshot(0);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->week, 1);
+    EXPECT_EQ(first->profile, 2);
+    EXPECT_EQ(first->current[3], 4.0F);
+    EXPECT_EQ(first->window.tests_seen, 1U);
+    EXPECT_EQ(first->window.prev[3], 3.0F);
+    EXPECT_FALSE(first->last_ticket.has_value());
+
+    const auto last = store.snapshot(kMax);
+    ASSERT_TRUE(last.has_value());
+    EXPECT_EQ(last->week, 2);
+    EXPECT_EQ(last->profile, 3);
+    EXPECT_EQ(last->current[3], 9.0F);
+    EXPECT_EQ(last->window.tests_seen, 1U);
+    EXPECT_EQ(last->window.prev[3], 7.0F);
+    ASSERT_TRUE(last->last_ticket.has_value());
+    EXPECT_EQ(*last->last_ticket, 61);
+
+    // Round trip into a store with different sharding, ticket-only
+    // line included.
+    LineStateStore copy(7);
+    for (const dslsim::LineId line : {dslsim::LineId{0}, kMax, kTicketOnly}) {
+      const auto exported = store.export_line(line);
+      ASSERT_TRUE(exported.has_value()) << line;
+      copy.import_line(*exported);
+      const auto again = copy.export_line(line);
+      ASSERT_TRUE(again.has_value()) << line;
+      nevermind::testing::expect_bit_identical(*again, *exported);
+    }
+    EXPECT_EQ(copy.line_ids(), store.line_ids());
+  }
 }
 
 // ---- micro-batcher and registry --------------------------------------
